@@ -54,14 +54,6 @@ _CONFIG_KEYS = {
 }
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -225,18 +217,22 @@ def _meta_lines(command: str, params: dict) -> list[str]:
     for key in sorted(params):
         if key in skip or params[key] is None:
             continue
-        lines.append(f"# {key} = {_fmt(params[key])}")
+        lines.append(f"# {key} = {params[key]}")
     return lines
 
 
-def _emit(out_path, meta: list[str], header: list[str], rows: list[list]) -> None:
+def _emit(out_path, meta: list[str], header: list[str], rows: list[list],
+          footer: str | None = None) -> None:
+    # csv writes floats with repr, so parsing the file back recovers them
+    # exactly, and None as an empty cell
     buf = io.StringIO()
     for line in meta:
         buf.write(line + "\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
+    w.writerows(rows)
+    if footer is not None:
+        buf.write(footer + "\n")
     text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -322,8 +318,7 @@ def cmd_simulate(params: dict) -> int:
     meta = _meta_lines("simulate", params)
     _emit(params.get("out"), meta, header, rows)
     if ecdf_out:
-        grid = stats.ecdf.grid()
-        erows = [[float(s), float(p)] for s, p in zip(grid, stats.ecdf.values)]
+        erows = np.column_stack((stats.ecdf.grid(), stats.ecdf.values)).tolist()
         _emit(ecdf_out, meta, ["s", "F_D_ecdf"], erows)
     return EXIT_OK
 
@@ -392,40 +387,16 @@ def cmd_cdf(params: dict) -> int:
     if params.get("printed_form"):
         printed = solve_printed_cdf(cfg.headway, cfg.model.p_s,
                                     cfg.model.max_range, ds, max_s)
-    grid = curve.grid()
     header = ["s", "F_D_analytic", "F_D_ecdf", "abs_diff"]
+    diff = np.abs(curve.values - stats.ecdf.values)
+    cols = [curve.grid(), curve.values, stats.ecdf.values, diff]
     if printed is not None:
         header.append("F_D_printed")
-    rows = []
-    for j, s in enumerate(grid):
-        a = float(curve.values[j])
-        e = float(stats.ecdf.values[j])
-        row = [float(s), a, e, abs(a - e)]
-        if printed is not None:
-            row.append(float(printed[j]))
-        rows.append(row)
-    sup = float(np.max(np.abs(curve.values - stats.ecdf.values)))
-    meta = _meta_lines("cdf", params)
-    _emit_with_footer(params.get("out"), meta, header, rows,
-                      footer=f"# sup_norm = {sup!r}")
+        cols.append(printed)
+    sup = float(np.max(diff))
+    _emit(params.get("out"), _meta_lines("cdf", params), header,
+          np.column_stack(cols).tolist(), footer=f"# sup_norm = {sup!r}")
     return EXIT_OK
-
-
-def _emit_with_footer(out_path, meta, header, rows, footer: str) -> None:
-    buf = io.StringIO()
-    for line in meta:
-        buf.write(line + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
-    buf.write(footer + "\n")
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -514,18 +485,9 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(params)
         return cmd_cdf(params)
-    except ValidationError as exc:
+    except (ValidationError, DegenerateProcessError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DegenerateProcessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _error_code(exc)
 
 
 if __name__ == "__main__":

@@ -75,7 +75,9 @@ class HeadwayDistribution(ABC):
         """(values, weights) when H is purely atomic, else None."""
         return None
 
-    # The Volterra CDF solver needs a pointwise density; a point mass has none.
+    # False for a point mass, which has no pointwise density. The CDF solver
+    # goes by atoms() instead, so resampled data is never convolved against
+    # its histogram estimate.
     has_density: bool = True
 
     def truncated_moment(self, order: int, upper: float) -> float:
@@ -297,7 +299,8 @@ class EmpiricalHeadway(HeadwayDistribution):
     cdf is the ECDF and sampling draws with replacement, both exact.
     A pointwise density exists only as an estimate; the Freedman-Diaconis
     histogram is used because it is deterministic, documented and testable.
-    Only the Volterra CDF solver consumes it.
+    No solver consumes it: the CDF solver and the fading integrals use the
+    atoms.
     """
 
     samples: np.ndarray

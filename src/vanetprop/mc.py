@@ -110,6 +110,19 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     return D, N
 
 
+def _grid_index(grid: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """np.searchsorted(grid, D, side="left") for the uniform grid j * grid[1], D >= 0.
+
+    ceil(D / step) can miss by one either way where rounding puts D on the
+    wrong side of a grid point; one compare on each side restores it.
+    """
+    n = grid.size
+    idx = np.minimum(np.ceil(D / grid[1]), n).astype(np.intp)
+    idx -= (idx > 0) & (grid[np.maximum(idx - 1, 0)] >= D)
+    idx += (idx < n) & (grid[np.minimum(idx, n - 1)] < D)
+    return idx
+
+
 def _block_summary(headway, model, seed, block_index, lo, hi, grid):
     D, N = _simulate_block(headway, model, seed, block_index, hi - lo)
     s1 = float(np.sum(D))
@@ -122,8 +135,7 @@ def _block_summary(headway, model, seed, block_index, lo, hi, grid):
     zeros = int(np.count_nonzero(N == 0))
     counts = None
     if grid is not None:
-        ins = np.searchsorted(grid, D, side="left")
-        counts = np.bincount(ins, minlength=grid.size + 1)[: grid.size]
+        counts = np.bincount(_grid_index(grid, D), minlength=grid.size + 1)[: grid.size]
     return s1, s2, s3, s4, sum_n, sum_n2, zeros, counts
 
 

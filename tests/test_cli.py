@@ -411,6 +411,19 @@ def test_empirical_headway_from_file(tmp_path):
     assert float(rows[0][1]) == mean_distance(d, ContentionModel(0.8, 100.0))
 
 
+def test_compare_small_empirical_data_set_passes(tmp_path):
+    data = tmp_path / "six.txt"
+    data.write_text("2\n5\n5\n9\n14\n33\n")
+    out = tmp_path / "c.csv"
+    code = main(["compare", "--headway", "empirical", "--data", str(data),
+                 "--ps", "0.9", "--range", "100", "--ds", "0.5", "--max-s", "300",
+                 "--trials", "400000", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    _, header, rows, _ = parse(out)
+    sup = next(r for r in rows if r[0] == "cdf_supnorm")
+    assert sup[header.index("status")] == "pass"
+
+
 def test_empirical_headway_bad_file(tmp_path):
     data = tmp_path / "gaps.txt"
     data.write_text("3.0\nnot-a-number\n")

@@ -20,7 +20,7 @@ from vanetprop import (
     mean_distance,
     run,
 )
-from vanetprop.mc import _simulate_block
+from vanetprop.mc import _grid_index, _simulate_block
 
 EXP = ExponentialHeadway(rate=0.2)
 M_EXP = ContentionModel(p_s=0.9, max_range=100.0)
@@ -167,6 +167,17 @@ def test_ecdf_deterministic_plateau():
     at75 = st.ecdf.values[15]
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert abs(at75 - 0.75) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("step", [0.01, 0.1, 0.3])
+def test_grid_index_equals_searchsorted(step):
+    max_s = 150.0
+    grid = np.arange(int(math.floor(max_s / step + 1e-9)) + 1) * step
+    D, _ = _simulate_block(EXP, M_EXP, 4, 0, 8192)
+    beside = np.concatenate([np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)])
+    for sample in (D, grid, beside, np.array([0.0, max_s, 2.0 * max_s, 1e6])):
+        assert np.array_equal(_grid_index(grid, sample),
+                              np.searchsorted(grid, sample, side="left"))
 
 
 def test_no_ecdf_without_grid():
