@@ -1,26 +1,32 @@
-"""Closed-form propagation statistics under the contention channel model.
+"""The compound-geometric core of the model, and the contention channel.
 
-Model: a message starts at vehicle 0 and hops down the chain. A hop over
-gap H succeeds iff H <= max_range and an independent Bernoulli(p_s)
-transmission succeeds; the first failed hop ends the process. D is the
-total distance covered, N the number of vehicles reached.
-
-With q = p_s * F_H(L) and I_k(L) the truncated headway moments, D is a
-geometric compound sum, which gives every closed form below. Everything
-divides by 1 - q, so q = 1 raises DegenerateProcessError.
+A message starts at vehicle 0 and hops down the chain. A hop over gap H
+succeeds with probability p(H), independently of every other hop; the
+first failed hop ends the process. D is the total distance covered, N
+the number of vehicles reached. Under any hop kernel p, D is a geometric
+compound sum. `ContentionModel` (here, p(tau) = p_s 1{tau <= L}) and
+`FadingModel` (fading module) each supply their hop law q = E[p(H)],
+1 - q, m1 = E[H p(H)] and m2 = E[H^2 p(H)], and the simulator's hop
+test. One core turns the law into E[D] = m1/(1-q), the renewal variance
+m2/(1-q) + E[D]^2 and E[N] = q/(1-q), and raises DegenerateProcessError
+where 1 - q = 0.
 
 Two variance routes are exposed on purpose: `variance_paper` evaluates
 the printed second-moment identity, whose cross term drops the square of
 the conditional mean; `variance_renewal` is the compound-geometric
 variance. They disagree whenever propagation can continue past one hop;
 simulation arbitrates (see the mc module). Bounds enclose the printed
-variant, which is what they were derived against.
+variant, which is what they were derived against. The bounds, the
+printed variance and the CDF are contention-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DegenerateProcessError, ValidationError
 from .headway import HeadwayDistribution
@@ -29,6 +35,7 @@ from .quad import CdfCurve, solve_renewal_cdf
 __all__ = [
     "ContentionModel",
     "DistanceStats",
+    "hop_failure_prob",
     "mean_distance",
     "mean_distance_bounds",
     "variance_paper",
@@ -54,21 +61,50 @@ class ContentionModel:
                 or self.max_range <= 0:
             raise ValidationError(f"max_range must be finite and > 0, got {self.max_range!r}")
 
+    def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
+        """(q, 1 - q, m1, m2) for p(tau) = p_s 1{tau <= L}: q = p_s F_H(L), m_k = p_s I_k(L)."""
+        L = self.max_range
+        q = self.p_s * d.cdf(L)
+        return (q, 1.0 - q, self.p_s * d.truncated_moment(1, L),
+                self.p_s * d.truncated_moment(2, L))
 
-def _q(d: HeadwayDistribution, m: ContentionModel) -> float:
-    """Per-hop continuation probability q = p_s * F_H(L); degenerate at 1."""
-    q = m.p_s * d.cdf(m.max_range)
-    if q >= 1.0:
+    def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Simulated hop outcomes: gap within range and uniform draw u below p_s."""
+        return (tau <= self.max_range) & (u < self.p_s)
+
+
+class _Renewal(NamedTuple):
+    """The compound-geometric law of D at one (headway, model) point."""
+
+    q: float             # E[p(H)], the probability that a hop succeeds
+    fail: float          # 1 - q, in the model's most accurate form
+    second: float        # m2 / (1 - q), the leading term of every variance form
+    mean: float          # E[D] = m1 / (1 - q)
+    var_renewal: float   # m2 / (1 - q) + E[D]^2
+    cluster_size: float  # E[N] = q / (1 - q)
+
+
+def _renewal(d: HeadwayDistribution, m) -> _Renewal:
+    """m's hop law under d and the closed forms both models share; the one degeneracy check."""
+    q, fail, m1, m2 = m.hop_law(d)
+    if fail <= 0.0:
         raise DegenerateProcessError(
-            f"p_s * F_H(L) = {q!r}: every hop succeeds and the propagation "
-            "distance diverges"
+            f"hop failure probability 1 - q = {fail!r}: every hop succeeds and "
+            "the propagation distance diverges"
         )
-    return q
+    mean = m1 / fail
+    second = m2 / fail
+    return _Renewal(q, fail, second, mean, second + mean * mean, q / fail)
 
 
-def mean_distance(d: HeadwayDistribution, m: ContentionModel) -> float:
-    """E[D] = p_s * I1(L) / (1 - q)."""
-    return m.p_s * d.truncated_moment(1, m.max_range) / (1.0 - _q(d, m))
+def hop_failure_prob(d: HeadwayDistribution, m) -> float:
+    """1 - q = P(one hop fails), for either channel model; 0 when D diverges."""
+    return m.hop_law(d)[1]
+
+
+def mean_distance(d: HeadwayDistribution, m) -> float:
+    """E[D] = E[H p(H)] / (1 - q), for either channel model."""
+    return _renewal(d, m).mean
 
 
 def mean_distance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[float, float]:
@@ -84,13 +120,8 @@ def mean_distance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[fl
     scale); close to L ~ mu_H it can exceed the true mean, so treat it as
     informative only in the far-cutoff regime.
     """
-    q = _q(d, m)
-    mu = d.mean()
-    gap = m.max_range - mu
-    bracket = 0.5 * (math.sqrt(d.variance() + gap * gap) - gap)
-    lower = (m.p_s * mu - bracket) / (1.0 - q)
-    upper = m.p_s * (mu - m.max_range + m.max_range * d.cdf(m.max_range)) / (1.0 - q)
-    return max(0.0, lower), upper
+    st = distance_stats(d, m)
+    return st.mean_lower, st.mean_upper
 
 
 def variance_paper(d: HeadwayDistribution, m: ContentionModel) -> float:
@@ -102,23 +133,18 @@ def variance_paper(d: HeadwayDistribution, m: ContentionModel) -> float:
     variant systematically low once multi-hop propagation matters; kept
     verbatim so simulation can arbitrate against `variance_renewal`.
     """
-    q = _q(d, m)
-    mu_d = m.p_s * d.truncated_moment(1, m.max_range) / (1.0 - q)
-    second = m.p_s * d.truncated_moment(2, m.max_range) / (1.0 - q)
-    tail = m.p_s * (1.0 - d.cdf(m.max_range)) / (1.0 - q)
-    return second + mu_d * mu_d * tail
+    return distance_stats(d, m).var_paper
 
 
-def variance_renewal(d: HeadwayDistribution, m: ContentionModel) -> float:
-    """Compound-geometric variance: Var[D] = p_s I2(L)/(1-q) + mu_D^2.
+def variance_renewal(d: HeadwayDistribution, m) -> float:
+    """Compound-geometric variance: Var[D] = E[H^2 p(H)]/(1-q) + mu_D^2.
 
     D is a sum of N iid accepted gaps T with N geometric; the law of
     total variance collapses to E[N] E[T^2] + (Var N - E N) E[T]^2
-    = p_s I2(L)/(1-q) + mu_D^2. Matches simulation.
+    = E[H^2 p(H)]/(1-q) + mu_D^2. Matches simulation, for either
+    channel model.
     """
-    q = _q(d, m)
-    mu_d = m.p_s * d.truncated_moment(1, m.max_range) / (1.0 - q)
-    return m.p_s * d.truncated_moment(2, m.max_range) / (1.0 - q) + mu_d * mu_d
+    return _renewal(d, m).var_renewal
 
 
 def variance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[float, float]:
@@ -127,19 +153,13 @@ def variance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[float, 
     lower = mu_D^2 p_s (1 - F_H(L)) / (1 - q)
     upper = [p_s L mu_H - p_s L^2 (1 - F_H(L))] / (1 - q) + lower
     """
-    q = _q(d, m)
-    L = m.max_range
-    tail = 1.0 - d.cdf(L)
-    mu_d = m.p_s * d.truncated_moment(1, L) / (1.0 - q)
-    lower = mu_d * mu_d * m.p_s * tail / (1.0 - q)
-    upper = (m.p_s * L * d.mean() - m.p_s * L * L * tail) / (1.0 - q) + lower
-    return lower, upper
+    st = distance_stats(d, m)
+    return st.var_lower, st.var_upper
 
 
-def mean_cluster_size(d: HeadwayDistribution, m: ContentionModel) -> float:
-    """E[N] = q / (1 - q): expected receivers (source excluded)."""
-    q = _q(d, m)
-    return q / (1.0 - q)
+def mean_cluster_size(d: HeadwayDistribution, m) -> float:
+    """E[N] = q / (1 - q): expected receivers (source excluded), either model."""
+    return _renewal(d, m).cluster_size
 
 
 def cdf(d: HeadwayDistribution, m: ContentionModel,
@@ -163,15 +183,21 @@ class DistanceStats:
 
 
 def distance_stats(d: HeadwayDistribution, m: ContentionModel) -> DistanceStats:
-    mlo, mhi = mean_distance_bounds(d, m)
-    vlo, vhi = variance_bounds(d, m)
+    """Every contention closed form (formulas on the per-quantity functions), one hop law."""
+    r = _renewal(d, m)
+    L, p_s = m.max_range, m.p_s
+    mu = d.mean()
+    gap = L - mu
+    bracket = 0.5 * (math.sqrt(d.variance() + gap * gap) - gap)
+    tail = 1.0 - d.cdf(L)
+    var_lower = r.mean * r.mean * p_s * tail / r.fail
     return DistanceStats(
-        mean=mean_distance(d, m),
-        mean_lower=mlo,
-        mean_upper=mhi,
-        var_paper=variance_paper(d, m),
-        var_renewal=variance_renewal(d, m),
-        var_lower=vlo,
-        var_upper=vhi,
-        cluster_size=mean_cluster_size(d, m),
+        mean=r.mean,
+        mean_lower=max(0.0, (p_s * mu - bracket) / r.fail),
+        mean_upper=p_s * (mu - L + L * d.cdf(L)) / r.fail,
+        var_paper=r.second + r.mean * r.mean * (p_s * tail / r.fail),
+        var_renewal=r.var_renewal,
+        var_lower=var_lower,
+        var_upper=(p_s * L * mu - p_s * L * L * tail) / r.fail + var_lower,
+        cluster_size=r.cluster_size,
     )

@@ -23,7 +23,6 @@ from . import __version__, analytic, fading, mc
 from .errors import DegenerateProcessError, NumericError, ValidationError
 from .headway import (
     DeterministicHeadway,
-    EmpiricalHeadway,
     ExponentialHeadway,
     LognormalHeadway,
     UniformHeadway,
@@ -45,6 +44,16 @@ _HEADWAY_PARAMS = {
     "empirical": ("data",),
 }
 _FADING_PARAMS = ("pt", "gain", "d0", "alpha", "pth")
+
+# per scenario: the closed forms at one point, and the `analyze` columns
+# their dataclass fields fill, in field order
+_STATS = {
+    "contention": (["mu_D", "mean_lower", "mean_upper", "var_paper", "var_renewal",
+                    "var_lower", "var_upper", "mu_N"],
+                   lambda d, model: analytic.distance_stats(d, model)),
+    "fading": (["q_hop", "mu_D", "var_paper", "var_renewal"],
+               lambda d, model: fading.fading_stats(model, d)),
+}
 
 _CONFIG_KEYS = {
     "scenario", "headway", "rate", "low", "high", "log_mean", "log_sd",
@@ -119,9 +128,6 @@ def _load_ps_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     return ax, np.array(ys)
 
 
-_EMPIRICAL_CACHE: dict[str, EmpiricalHeadway] = {}
-
-
 def _build_headway(params: dict):
     family = params.get("headway")
     if family not in _HEADWAY_PARAMS:
@@ -140,9 +146,7 @@ def _build_headway(params: dict):
     path = params.get("data")
     if not path:
         raise ValidationError("empirical headway needs data = <path>")
-    if path not in _EMPIRICAL_CACHE:
-        _EMPIRICAL_CACHE[path] = load_headway_file(path)
-    return _EMPIRICAL_CACHE[path]
+    return load_headway_file(path)
 
 
 def _effective_ps(params: dict) -> float:
@@ -174,25 +178,40 @@ def _build_model(params: dict):
     raise ValidationError(f"scenario must be contention or fading, got {scenario!r}")
 
 
+def _headway_params(params: dict) -> tuple[str, ...]:
+    return _HEADWAY_PARAMS.get(params.get("headway"), ())
+
+
+def _read_params(params: dict) -> set[str]:
+    """The numeric parameters the resolved scenario and headway family read."""
+    if params.get("scenario", "contention") == "fading":
+        names = set(_FADING_PARAMS)
+    else:
+        names = {"load" if params.get("ps_table") else "ps", "range"}
+    return names | set(_headway_params(params)) - {"data"}
+
+
 def _sweep_values(params: dict):
-    """(name, values) or None. Spec: 'name,from,to,steps[,log]'."""
+    """(name, values) or None. Spec: 'name,from,to,steps[,log]'.
+
+    Only a parameter the run reads can be swept: any other would print
+    identical rows.
+    """
     spec = params.get("sweep")
     if not spec:
         return None
-    if isinstance(spec, (list, tuple)):
-        parts = [str(p) for p in spec]
-    else:
-        parts = [p.strip() for p in str(spec).split(",")]
+    parts = [p.strip() for p in spec.split(",")]  # _resolve joined it into a string
     log = False
     if parts and parts[-1] in ("log", "linear"):
         log = parts.pop() == "log"
     if len(parts) != 4:
         raise ValidationError(f"sweep must be 'name,from,to,steps[,log]', got {spec!r}")
     name = parts[0]
-    allowed = {"ps", "range", "load", *_FADING_PARAMS,
-               *(k for ks in _HEADWAY_PARAMS.values() for k in ks if k != "data")}
-    if name not in allowed:
-        raise ValidationError(f"cannot sweep {name!r}")
+    readable = _read_params(params)
+    if name not in readable:
+        raise ValidationError(
+            f"cannot sweep {name!r}: this scenario and headway read only {sorted(readable)}"
+        )
     try:
         lo, hi = float(parts[1]), float(parts[2])
         steps = int(parts[3])
@@ -252,42 +271,33 @@ def _error_code(exc: Exception) -> int:
 def cmd_analyze(params: dict) -> int:
     sweep = _sweep_values(params)
     scenario = params.get("scenario", "contention")
+    if scenario not in _STATS:
+        raise ValidationError(f"scenario must be contention or fading, got {scenario!r}")
+    columns, stats = _STATS[scenario]
     if sweep is None:
         name, values = "point", [None]
     else:
         name, values = sweep
 
-    if scenario == "contention":
-        header = [name, "mu_D", "mean_lower", "mean_upper", "var_paper",
-                  "var_renewal", "var_lower", "var_upper", "mu_N", "error"]
-    else:
-        header = [name, "q_hop", "mu_D", "var_paper", "var_renewal", "error"]
-
     rows = []
     code = EXIT_OK
+    d = None
     for v in values:
         point = dict(params)
         if v is not None:
             point[name] = v
         label = 0.0 if v is None else v
         try:
-            d = _build_headway(point)
-            model = _build_model(point)
-            if scenario == "contention":
-                st = analytic.distance_stats(d, model)
-                rows.append([label, st.mean, st.mean_lower, st.mean_upper,
-                             st.var_paper, st.var_renewal, st.var_lower,
-                             st.var_upper, st.cluster_size, None])
-            else:
-                st = fading.fading_stats(model, d)
-                rows.append([label, st.q_hop, st.mean, st.var_paper,
-                             st.var_renewal, None])
+            # one headway serves every point unless the sweep varies it
+            if d is None or name in _headway_params(params):
+                d = _build_headway(point)
+            st = stats(d, _build_model(point))
+            rows.append((label, *vars(st).values(), None))  # fields in definition order
         except (ValidationError, DegenerateProcessError, NumericError) as exc:
-            pad = 8 if scenario == "contention" else 4
-            rows.append([label] + [None] * pad + [f"{type(exc).__name__}: {exc}"])
+            rows.append((label, *[None] * len(columns), f"{type(exc).__name__}: {exc}"))
             if code == EXIT_OK:
                 code = _error_code(exc)
-    _emit(params.get("out"), _meta_lines("analyze", params), header, rows)
+    _emit(params.get("out"), _meta_lines("analyze", params), [name, *columns, "error"], rows)
     return code
 
 
@@ -330,31 +340,18 @@ def cmd_compare(params: dict) -> int:
     cfg = _sim_config(params, need_ecdf=want_cdf)
     stats = mc.run(cfg, workers=_as_int(params, "workers"))
 
-    checks = []  # (metric label, report, required)
-    if scenario == "contention":
-        d, model = cfg.headway, cfg.model
-        checks.append(("mean_D", mc.compare(analytic.mean_distance(d, model),
-                                            stats, "mean_D"), True))
-        renewal = mc.compare(analytic.variance_renewal(d, model), stats, "var_D")
-        checks.append(("var_D_renewal", renewal, True))
-        paper = mc.compare(analytic.variance_paper(d, model), stats, "var_D")
-        checks.append(("var_D_paper", paper, False))
-        checks.append(("mean_N", mc.compare(analytic.mean_cluster_size(d, model),
-                                            stats, "mean_N"), True))
-        if want_cdf:
-            curve = analytic.cdf(d, model, _as_float(params, "ds"),
-                                 _as_float(params, "max_s"))
-            checks.append(("cdf_supnorm", mc.compare(curve, stats, "cdf_supnorm"), True))
-    else:
-        d, model = cfg.headway, cfg.model
-        fp = fading.hop_failure_prob(model, d)
-        checks.append(("mean_D", mc.compare(fading.mean_distance_fading(model, d),
-                                            stats, "mean_D"), True))
-        renewal = mc.compare(fading.variance_fading_renewal(model, d), stats, "var_D")
-        checks.append(("var_D_renewal", renewal, True))
-        paper = mc.compare(fading.variance_fading_paper(model, d), stats, "var_D")
-        checks.append(("var_D_paper", paper, False))
-        checks.append(("mean_N", mc.compare((1.0 - fp) / fp, stats, "mean_N"), True))
+    d, model = cfg.headway, cfg.model
+    printed = _STATS[scenario][1](d, model).var_paper  # the scenario's printed variance
+    checks = [  # (metric label, report, required)
+        ("mean_D", mc.compare(analytic.mean_distance(d, model), stats, "mean_D"), True),
+        ("var_D_renewal", mc.compare(analytic.variance_renewal(d, model), stats, "var_D"),
+         True),
+        ("var_D_paper", mc.compare(printed, stats, "var_D"), False),
+        ("mean_N", mc.compare(analytic.mean_cluster_size(d, model), stats, "mean_N"), True),
+    ]
+    if want_cdf:
+        curve = analytic.cdf(d, model, _as_float(params, "ds"), _as_float(params, "max_s"))
+        checks.append(("cdf_supnorm", mc.compare(curve, stats, "cdf_supnorm"), True))
 
     renewal_passed = next(r.passed for label, r, _ in checks if label == "var_D_renewal")
     header = ["metric", "analytic", "simulated", "ci95", "abs_error",

@@ -10,9 +10,9 @@ class ValidationError(ValueError):
 
 
 class DegenerateProcessError(ValueError):
-    """p_s * F_H(L) = 1: every hop succeeds and the propagation process never terminates.
+    """1 - q = 0: every hop succeeds and the propagation process never terminates.
 
-    All closed forms divide by 1 - p_s*F_H(L); raising beats returning inf.
+    All closed forms divide by the hop failure probability 1 - q; raising beats returning inf.
     """
 
 

@@ -1,4 +1,4 @@
-"""Propagation statistics under a Rayleigh fading channel.
+"""The Rayleigh fading channel model.
 
 Here no hard reception cutoff exists. The received power over a gap tau
 is exponentially distributed with mean P_t * K * (d0/tau)^alpha, so a
@@ -6,9 +6,10 @@ hop succeeds with probability
 
     p_s(tau) = exp(-(P_th / (P_t K)) * (tau / d0)^alpha)
 
-and the per-hop failure probability is F_P = E[1 - p_s(H)]. The process
-is again a geometric compound sum, now with hop-length density
-f_H(tau) p_s(tau) / (1 - F_P).
+and the per-hop failure probability is F_P = E[1 - p_s(H)]. Only this
+hop kernel differs from contention: `FadingModel` supplies its hop law
+to the compound-geometric core in `analytic`, and the functions here
+are that core under fading names.
 
 As with the contention model, the printed variance identity
 (`variance_fading_paper`, no mean-square term) and the
@@ -22,7 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DegenerateProcessError, ValidationError
+import numpy as np
+
+from . import analytic
+from .analytic import _renewal
+from .errors import ValidationError
 from .headway import HeadwayDistribution
 from .quad import integrate_semi_infinite
 
@@ -75,18 +80,30 @@ class FadingModel:
         """c = P_th / (P_t K); p_s(tau) = exp(-c (tau/d0)^alpha)."""
         return self.power_threshold / (self.tx_power * self.gain_const)
 
+    def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
+        """(1 - F_P, F_P, E[H p_s(H)], E[H^2 p_s(H)]): three expectations under d."""
+        c, d0, alpha = self.decay, self.ref_distance, self.path_loss_exp
+        # 1 - exp(-x) via expm1: the naive form loses all precision for the
+        # near-transparent channels the consistency checks use
+        fail = _expect(d, lambda t: -math.expm1(-c * (t / d0) ** alpha) if t > 0 else 0.0)
+
+        def moment(k):
+            return _expect(d, lambda t: (t ** k) * math.exp(-c * (t / d0) ** alpha)
+                           if t > 0 else 0.0)
+
+        return 1.0 - fail, fail, moment(1), moment(2)
+
+    def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Simulated hop outcomes: uniform draw u below p_s(tau)."""
+        # (tau/d0)^alpha is 0 at tau = 0, so a zero gap succeeds (limit p_s -> 1)
+        return u < np.exp(-self.decay * (tau / self.ref_distance) ** self.path_loss_exp)
+
 
 def success_prob(f: FadingModel, tau: float) -> float:
     """P(hop over gap tau succeeds). tau -> 0+ limit is 1."""
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)) or tau <= 0:
         raise ValidationError(f"gap must be finite and > 0, got {tau!r}")
     return math.exp(-f.decay * (tau / f.ref_distance) ** f.path_loss_exp)
-
-
-def _fail_prob(f: FadingModel, tau: float) -> float:
-    # 1 - exp(-x) via expm1: the naive form loses all precision for the
-    # near-transparent channels the consistency checks use
-    return -math.expm1(-f.decay * (tau / f.ref_distance) ** f.path_loss_exp)
 
 
 def _expect(d: HeadwayDistribution, g: Callable[[float], float]) -> float:
@@ -100,37 +117,22 @@ def _expect(d: HeadwayDistribution, g: Callable[[float], float]) -> float:
 
 def hop_failure_prob(f: FadingModel, d: HeadwayDistribution) -> float:
     """F_P = E[1 - p_s(H)], the probability one hop fails."""
-    return _expect(d, lambda t: _fail_prob(f, t) if t > 0 else 0.0)
-
-
-def _moment_over_failure(f: FadingModel, d: HeadwayDistribution, order: int) -> float:
-    fp = hop_failure_prob(f, d)
-    if fp <= 0.0:
-        raise DegenerateProcessError(
-            "hop failure probability is 0: every hop succeeds and the "
-            "propagation distance diverges"
-        )
-    num = _expect(
-        d, lambda t: (t ** order) * math.exp(-f.decay * (t / f.ref_distance) ** f.path_loss_exp)
-        if t > 0 else 0.0
-    )
-    return num / fp
+    return analytic.hop_failure_prob(d, f)
 
 
 def mean_distance_fading(f: FadingModel, d: HeadwayDistribution) -> float:
     """E[D] = E[tau p_s(tau)] / F_P."""
-    return _moment_over_failure(f, d, 1)
+    return analytic.mean_distance(d, f)
 
 
 def variance_fading_paper(f: FadingModel, d: HeadwayDistribution) -> float:
     """Printed identity: E[tau^2 p_s(tau)] / F_P, no mean-square term."""
-    return _moment_over_failure(f, d, 2)
+    return _renewal(d, f).second
 
 
 def variance_fading_renewal(f: FadingModel, d: HeadwayDistribution) -> float:
     """Compound-geometric variance: E[tau^2 p_s(tau)] / F_P + E[D]^2."""
-    mu = mean_distance_fading(f, d)
-    return variance_fading_paper(f, d) + mu * mu
+    return analytic.variance_renewal(d, f)
 
 
 @dataclass(frozen=True)
@@ -144,12 +146,5 @@ class FadingStats:
 
 
 def fading_stats(f: FadingModel, d: HeadwayDistribution) -> FadingStats:
-    fp = hop_failure_prob(f, d)
-    if fp <= 0.0:
-        raise DegenerateProcessError(
-            "hop failure probability is 0: every hop succeeds and the "
-            "propagation distance diverges"
-        )
-    mu = mean_distance_fading(f, d)
-    vp = variance_fading_paper(f, d)
-    return FadingStats(q_hop=1.0 - fp, mean=mu, var_paper=vp, var_renewal=vp + mu * mu)
+    r = _renewal(d, f)
+    return FadingStats(q_hop=r.q, mean=r.mean, var_paper=r.second, var_renewal=r.var_renewal)

@@ -1,10 +1,10 @@
 """Monte Carlo oracle for the propagation process.
 
-Each trial replays the hop-by-hop process literally: draw a gap tau,
-decide the hop (contention: tau <= max_range and an independent
-Bernoulli(p_s); fading: Bernoulli(p_s(tau))), accumulate D += tau and
-N += 1 on success, stop on the first failure. No closed form enters the
-simulator, so it can arbitrate between conflicting analytical variants.
+Each trial replays the hop-by-hop process literally: draw a gap tau and
+a uniform u, let the model's `hop_succeeds` decide the hop (contention:
+tau <= max_range and u < p_s; fading: u < p_s(tau)), accumulate D += tau
+and N += 1 on success, stop on the first failure. No closed form enters
+the simulator, so it can arbitrate between conflicting analytical variants.
 
 Reproducibility: trials are split into fixed blocks of 8192; block b
 draws from a Philox stream keyed (seed, b), and trials inside one block
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ContentionModel
+from .analytic import ContentionModel, hop_failure_prob
 from .errors import DegenerateProcessError, ValidationError
-from .fading import FadingModel, hop_failure_prob
+from .fading import FadingModel
 from .headway import HeadwayDistribution
 from .quad import CdfCurve
 
@@ -87,22 +87,9 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     D = np.zeros(n)
     N = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
-    if isinstance(model, ContentionModel):
-        p_s, L = model.p_s, model.max_range
-        fading = None
-    else:
-        fading = model
-        c = model.decay
-        d0 = model.ref_distance
-        alpha = model.path_loss_exp
     while active.size:
         tau = headway.sample(rng, size=active.size)
-        u = rng.random(active.size)
-        if fading is None:
-            succ = (tau <= L) & (u < p_s)
-        else:
-            # (tau/d0)^alpha is 0 at tau = 0, so a zero gap succeeds (limit p_s -> 1)
-            succ = u < np.exp(-c * (tau / d0) ** alpha)
+        succ = model.hop_succeeds(tau, rng.random(active.size))
         idx = active[succ]
         D[idx] += tau[succ]
         N[idx] += 1
@@ -139,19 +126,6 @@ def _block_summary(headway, model, seed, block_index, lo, hi, grid):
     return s1, s2, s3, s4, sum_n, sum_n2, zeros, counts
 
 
-def _check_terminates(cfg: SimConfig) -> None:
-    if isinstance(cfg.model, ContentionModel):
-        if cfg.model.p_s * cfg.headway.cdf(cfg.model.max_range) >= 1.0:
-            raise DegenerateProcessError(
-                "p_s * F_H(L) = 1: trials would never terminate"
-            )
-    else:
-        if hop_failure_prob(cfg.model, cfg.headway) <= 0.0:
-            raise DegenerateProcessError(
-                "hop failure probability is 0: trials would never terminate"
-            )
-
-
 def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     """Simulate cfg.trials independent trials.
 
@@ -160,7 +134,8 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    _check_terminates(cfg)
+    if hop_failure_prob(cfg.headway, cfg.model) <= 0.0:
+        raise DegenerateProcessError("no hop can fail: trials would never terminate")
     grid = None
     if cfg.ecdf_grid is not None:
         step, max_s = cfg.ecdf_grid

@@ -8,6 +8,9 @@ domain below keeps every family inside it so the sandwich checks are
 exact requirements, not statistical ones.
 """
 
+import os
+import pathlib
+
 import numpy as np
 
 from vanetprop import (
@@ -18,6 +21,12 @@ from vanetprop import (
     LognormalHeadway,
     UniformHeadway,
 )
+
+# pyproject's pythonpath puts src/ on this process's path only; subprocess
+# tests (`python -m vanetprop.cli`) must import the same checkout
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 FAMILIES = ("exponential", "uniform", "lognormal", "deterministic", "empirical")
 

@@ -135,6 +135,46 @@ def test_analyze_rejects_unknown_sweep_name(tmp_path):
     assert code == 2
 
 
+def test_analyze_rejects_sweeps_over_parameters_the_run_never_reads(tmp_path):
+    table = tmp_path / "ps.csv"
+    table.write_text("0.0,0.1\n100.0,0.9\n")
+    fading = ["--scenario", "fading", "--headway", "exponential", "--rate", "0.2",
+              "--pt", "1", "--gain", "1", "--d0", "1", "--alpha", "1", "--pth", "0.05"]
+    with_table = ["--headway", "exponential", "--rate", "0.2", "--range", "100",
+                  "--ps-table", str(table), "--load", "50"]
+    unread = [
+        ["--headway", "uniform", "--low", "2", "--high", "20", "--ps", "0.9",
+         "--range", "100", "--sweep", "rate", "0.1", "1", "3"],
+        [*fading, "--sweep", "range", "50", "150", "3"],
+        [*with_table, "--sweep", "ps", "0.1", "0.9", "3"],
+    ]
+    for args in unread:
+        out = tmp_path / "x.csv"
+        assert main(["analyze", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+    # the parameters these runs do read stay sweepable
+    for args in ([*fading, "--sweep", "alpha", "1", "3", "3"],
+                 [*with_table, "--sweep", "load", "0", "100", "3"]):
+        out = tmp_path / "ok.csv"
+        assert main(["analyze", *args, "--out", str(out)]) == 0
+        _, _, rows, _ = parse(out)
+        assert len({r[2] for r in rows}) == 3
+
+
+def test_empirical_file_is_reread_by_each_run(tmp_path):
+    data = tmp_path / "gaps.txt"
+    out = tmp_path / "e.csv"
+    argv = ["analyze", "--headway", "empirical", "--data", str(data),
+            "--ps", "0.9", "--range", "100", "--out", str(out)]
+    data.write_text("2\n5\n5\n9\n")
+    assert main(argv) == 0
+    first = float(parse(out)[2][0][1])
+    data.write_text("20\n50\n50\n90\n")
+    assert main(argv) == 0
+    # every gap stays within range, so the mean distance scales with them
+    assert float(parse(out)[2][0][1]) == pytest.approx(10.0 * first, rel=1e-12)
+
+
 def test_analyze_stdout_when_no_out_given(capsys):
     assert main(["analyze", *EXP_ARGS]) == 0
     text = capsys.readouterr().out

@@ -13,16 +13,21 @@ from vanetprop import (
     EmpiricalHeadway,
     ExponentialHeadway,
     FadingModel,
+    LognormalHeadway,
     UniformHeadway,
     ValidationError,
     distance_stats,
     fading_stats,
     hop_failure_prob,
+    mean_cluster_size,
+    mean_distance,
     mean_distance_fading,
     success_prob,
     variance_fading_paper,
     variance_fading_renewal,
+    variance_renewal,
 )
+from vanetprop import fading as fading_module
 
 
 def model(c=0.05, alpha=1.0, d0=1.0):
@@ -99,6 +104,33 @@ def test_hop_failure_near_transparent_channel():
 
 def test_hop_failure_blocked_channel():
     assert hop_failure_prob(model(c=1e8), EXP) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [
+    EXP,
+    LognormalHeadway(log_mean=1.5, log_sd=0.6),
+    EmpiricalHeadway.from_samples([1.0, 4.0, 4.0, 9.0, 22.0]),
+])
+def test_shared_closed_forms_accept_a_fading_model(d):
+    f = model(c=0.08, alpha=2.0, d0=3.0)
+    fp = hop_failure_prob(f, d)
+    assert mean_distance(d, f) == mean_distance_fading(f, d)
+    assert variance_renewal(d, f) == variance_fading_renewal(f, d)
+    assert mean_cluster_size(d, f) == (1.0 - fp) / fp
+
+
+def test_fading_stats_takes_three_quadratures(monkeypatch):
+    # F_P, E[H p_s(H)] and E[H^2 p_s(H)], each once per point
+    calls = []
+    real = fading_module.integrate_semi_infinite
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fading_module, "integrate_semi_infinite", counted)
+    fading_stats(model(c=0.001, alpha=2.0), LognormalHeadway(log_mean=1.5, log_sd=0.6))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("d", [

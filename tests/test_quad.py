@@ -146,6 +146,36 @@ def test_solver_deterministic_step_law():
     assert curve.values[11] == curve.values[19]
 
 
+def _panjer_cdf(gaps, p_s, max_range, step, n):
+    """F_D at j * step, j < n, by Panjer's recursion (1981) for a geometric count.
+
+    The accepted hop puts t_i = p_s P(H = i step, H <= L) on lattice point
+    i; then g_0 = 1 - q, g_k = sum_{i=1..k} t_i g_{k-i} and F_D = cumsum(g).
+    Every gap must sit on the lattice.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    idx = np.rint(gaps / step).astype(int)
+    assert np.all(idx * step == gaps)
+    t = np.zeros(n)
+    np.add.at(t, idx[gaps <= max_range], p_s / gaps.size)
+    g = np.zeros(n)
+    g[0] = 1.0 - t.sum()
+    for k in range(1, n):
+        g[k] = np.dot(t[1:k + 1], g[k - 1::-1])
+    return np.cumsum(g)
+
+
+@pytest.mark.parametrize("d, gaps, step", [
+    (DeterministicHeadway(spacing=5.0), [5.0], 1.0),
+    (EmpiricalHeadway.from_samples(SIX_GAPS), SIX_GAPS, 0.5),
+    (EmpiricalHeadway.from_samples(SIX_GAPS + [120.0]), SIX_GAPS + [120.0], 1.0),
+])
+def test_solver_matches_panjer_lattice_oracle(d, gaps, step):
+    curve = solve_renewal_cdf(d, 0.9, 100.0, step, 300.0)
+    oracle = _panjer_cdf(gaps, 0.9, 100.0, step, curve.values.size)
+    assert float(np.max(np.abs(curve.values - oracle))) <= 1e-12
+
+
 def test_solver_zero_success_probability_is_constant_one():
     curve = solve_renewal_cdf(ExponentialHeadway(rate=0.2), 0.0, 100.0, 1.0, 200.0)
     assert np.all(curve.values == 1.0)
