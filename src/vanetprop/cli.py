@@ -402,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="write CSV here instead of stdout")
     shared.add_argument("--seed", type=int)
     shared.add_argument("--trials", type=int)
-    shared.add_argument("--workers", type=int)
+    shared.add_argument("--workers", type=int,
+                        help="simulation worker processes; results do not depend on it")
     shared.add_argument("--scenario", choices=["contention", "fading"])
     shared.add_argument("--headway",
                         choices=sorted(_HEADWAY_PARAMS))

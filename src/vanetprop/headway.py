@@ -5,8 +5,8 @@ Distances are meters throughout. A headway distribution is supported on
 touches it through pdf/cdf, truncated moments and sampling, so adding a
 family means implementing this interface and nothing else.
 
-Instances are frozen dataclasses: immutable after construction and safe
-to share across worker threads.
+Instances are frozen dataclasses: immutable after construction, so the
+simulator's forked worker processes see exactly the parent's instances.
 """
 
 from __future__ import annotations

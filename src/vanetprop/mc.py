@@ -10,13 +10,12 @@ Reproducibility: trials are split into fixed blocks of 8192; block b
 draws from a Philox stream keyed (seed, b), and trials inside one block
 advance in lockstep with the active set compacted each round. Partial
 results reduce in block order, so for a given (seed, trials) the output
-is bit-identical no matter how many worker threads run the blocks.
+is bit-identical no matter how many worker processes run the blocks.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +125,25 @@ def _block_summary(headway, model, seed, block_index, lo, hi, grid):
     return s1, s2, s3, s4, sum_n, sum_n2, zeros, counts
 
 
+_JOB = None  # (cfg, grid) in a pool worker, handed over by the fork
+
+
+def _set_job(cfg, grid):
+    global _JOB
+    _JOB = cfg, grid
+
+
+def _pool_block(block):
+    cfg, grid = _JOB
+    return _block_summary(cfg.headway, cfg.model, cfg.seed, *block, grid)
+
+
 def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     """Simulate cfg.trials independent trials.
 
-    workers > 1 distributes blocks over a thread pool; the result is
-    bit-identical to the single-threaded run.
+    workers > 1 distributes blocks over up to `workers` forked worker
+    processes (none where the platform cannot fork, or for a single
+    block); the result is bit-identical to the in-process run.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
@@ -141,22 +154,25 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         step, max_s = cfg.ecdf_grid
         grid = np.arange(int(math.floor(max_s / step + 1e-9)) + 1) * step
 
-    blocks = []
-    lo = 0
-    while lo < cfg.trials:
-        hi = min(lo + BLOCK_TRIALS, cfg.trials)
-        blocks.append((len(blocks), lo, hi))
-        lo = hi
+    blocks = [(b, lo, min(lo + BLOCK_TRIALS, cfg.trials))
+              for b, lo in enumerate(range(0, cfg.trials, BLOCK_TRIALS))]
 
-    def job(b):
-        bi, lo, hi = b
-        return _block_summary(cfg.headway, cfg.model, cfg.seed, bi, lo, hi, grid)
+    workers = min(workers, len(blocks))
+    if workers > 1:
+        import multiprocessing
 
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
     if workers == 1:
-        parts = [job(b) for b in blocks]
+        parts = [_block_summary(cfg.headway, cfg.model, cfg.seed, *b, grid) for b in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, blocks))
+        from concurrent.futures import ProcessPoolExecutor
+
+        # cfg and grid reach the workers by fork; only blocks and sums are pickled
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_set_job, initargs=(cfg, grid)) as pool:
+            chunk = math.ceil(len(blocks) / (4 * workers))
+            parts = list(pool.map(_pool_block, blocks, chunksize=chunk))
 
     # reduce in block order: float sums stay deterministic under any pool size
     s1 = s2 = s3 = s4 = 0.0

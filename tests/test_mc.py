@@ -1,6 +1,11 @@
 """Monte Carlo simulator: semantics, reproducibility, comparisons."""
 
+import concurrent.futures
+import dataclasses
 import math
+import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +14,11 @@ from vanetprop import (
     ContentionModel,
     DegenerateProcessError,
     DeterministicHeadway,
+    EmpiricalHeadway,
     ExponentialHeadway,
     FadingModel,
+    LognormalHeadway,
+    NumericError,
     SimConfig,
     SimStats,
     UniformHeadway,
@@ -20,7 +28,8 @@ from vanetprop import (
     mean_distance,
     run,
 )
-from vanetprop.mc import _grid_index, _simulate_block
+from vanetprop import cli
+from vanetprop.mc import BLOCK_TRIALS, _grid_index, _simulate_block
 
 EXP = ExponentialHeadway(rate=0.2)
 M_EXP = ContentionModel(p_s=0.9, max_range=100.0)
@@ -106,6 +115,104 @@ def test_runs_are_bit_identical_across_workers():
         assert np.array_equal(other.ecdf.values, base.ecdf.values)
     again = run(cfg, workers=1)
     assert again.mean_D == base.mean_D and again.var_D == base.var_D
+
+
+def assert_same_stats(a: SimStats, b: SimStats):
+    for field in dataclasses.fields(SimStats):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "ecdf" and x is not None:
+            assert (x.grid_step, x.max_s) == (y.grid_step, y.max_s)
+            assert x.values.tobytes() == y.values.tobytes()
+        else:
+            assert repr(x) == repr(y), field.name
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(EXP, FADE, trials=40_000, seed=8, ecdf_grid=(0.5, 200.0)),
+    SimConfig(EmpiricalHeadway.from_samples([2, 5, 5, 9, 14, 33]), M_EXP,
+              trials=40_000, seed=9, ecdf_grid=(0.5, 300.0)),
+    SimConfig(LognormalHeadway(log_mean=1.5, log_sd=0.6), M_EXP,
+              trials=3 * BLOCK_TRIALS + 1234, seed=10, ecdf_grid=(0.1, 500.0)),
+], ids=["fading", "six_gaps", "lognormal_partial_block"])
+def test_every_field_is_bit_identical_across_workers(cfg):
+    base = run(cfg, workers=1)
+    for workers in (2, 4):
+        assert_same_stats(run(cfg, workers=workers), base)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_one_block_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    one = SimConfig(EXP, M_EXP, trials=BLOCK_TRIALS, seed=3)
+    assert_same_stats(run(one, workers=8), run(one, workers=1))
+    two = SimConfig(EXP, M_EXP, trials=BLOCK_TRIALS + 1, seed=3)
+    with pytest.raises(AssertionError, match="pool was started"):
+        run(two, workers=8)
+
+
+def test_no_fork_runs_in_process(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    cfg = SimConfig(EXP, M_EXP, trials=3 * BLOCK_TRIALS, seed=3)
+    assert_same_stats(run(cfg, workers=2), run(cfg, workers=1))
+
+
+@dataclasses.dataclass(frozen=True)
+class FailingHeadway(ExponentialHeadway):
+    """Exponential gaps whose sampler raises `error` inside block `fail_block`."""
+
+    fail_block: int = 0
+    error: Exception | None = None
+
+    def sample(self, rng, size=None):
+        if rng.bit_generator.state["state"]["key"][1] == self.fail_block:
+            raise self.error
+        return super().sample(rng, size)
+
+
+SAMPLER_ERRORS = [
+    (NumericError("synthetic sampler failure", estimate=1.5, error_estimate=0.25), 4),
+    (ValidationError("synthetic bad gap"), 2),
+]
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker pool needs the fork start method")
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [e for e, _ in SAMPLER_ERRORS], ids=["numeric", "validation"])
+def test_worker_errors_reach_the_caller_typed(error):
+    d = FailingHeadway(rate=0.2, fail_block=3, error=error)
+    with pytest.raises(type(error)) as info:
+        run(SimConfig(d, M_EXP, trials=5 * BLOCK_TRIALS, seed=9), workers=2)
+    got = info.value
+    assert got is not error  # raised in a worker and sent back
+    assert type(got) is type(error)
+    assert str(got) == str(error)
+    assert vars(got) == vars(error)
+
+
+@needs_fork
+@pytest.mark.parametrize("error, code", SAMPLER_ERRORS, ids=["numeric", "validation"])
+def test_worker_errors_keep_their_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    d = FailingHeadway(rate=0.2, fail_block=1, error=error)
+    monkeypatch.setattr(cli, "_build_headway", lambda params: d)
+    argv = ["simulate", "--ps", "0.9", "--range", "100", "--trials", "40000",
+            "--workers", "2", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == code
+    assert str(error) in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_pool_module():
+    probe = ("import sys, vanetprop.cli; "
+             "print(*[m for m in ('concurrent.futures.process', "
+             "'concurrent.futures.thread') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_different_seeds_differ():
