@@ -11,6 +11,8 @@ from .analytic import (
     mean_cluster_size,
     mean_distance,
     mean_distance_bounds,
+    solve_printed_cdf,
+    solve_renewal_cdf,
     variance_bounds,
     variance_paper,
     variance_renewal,
@@ -46,8 +48,6 @@ from .quad import (
     QuadResult,
     integrate,
     integrate_semi_infinite,
-    solve_printed_cdf,
-    solve_renewal_cdf,
 )
 
 __all__ = [

@@ -18,6 +18,13 @@ variance. They disagree whenever propagation can continue past one hop;
 simulation arbitrates (see the mc module). Bounds enclose the printed
 variant, which is what they were derived against. The bounds, the
 printed variance and the CDF are contention-only.
+
+The CDF solvers live here, next to the model. `solve_renewal_cdf`
+solves the renewal equation F_D(s) = 1 - q + p_s int_0^min(s,L) f_H(t)
+F_D(s - t) dt; `solve_printed_cdf` evaluates the form printed in the
+source theorem, unrepaired, for discrepancy reporting only. Both check
+p_s and L through `ContentionModel` and take 1 - q and the degeneracy
+check from the core; `quad._march` does the numerics.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateProcessError, ValidationError
 from .headway import HeadwayDistribution
-from .quad import CdfCurve, solve_renewal_cdf
+from .quad import CdfCurve, _march, _repair, _snap_index
 
 __all__ = [
     "ContentionModel",
@@ -44,6 +51,8 @@ __all__ = [
     "mean_cluster_size",
     "cdf",
     "distance_stats",
+    "solve_renewal_cdf",
+    "solve_printed_cdf",
 ]
 
 
@@ -160,6 +169,55 @@ def variance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[float, 
 def mean_cluster_size(d: HeadwayDistribution, m) -> float:
     """E[N] = q / (1 - q): expected receivers (source excluded), either model."""
     return _renewal(d, m).cluster_size
+
+
+def _solver_setup(headway, p_s: float, max_range: float,
+                  grid_step: float, max_s: float) -> tuple[float, int]:
+    """1 - q and the grid size, after the model's, the grid's and the degeneracy checks."""
+    m = ContentionModel(p_s, max_range)
+    if not (0.0 < grid_step <= max_range / 10.0):
+        raise ValidationError(
+            f"grid_step must satisfy 0 < grid_step <= max_range/10, got {grid_step!r}"
+        )
+    if not (math.isfinite(max_s) and max_s >= max_range):
+        raise ValidationError(f"max_s must be finite and >= max_range, got {max_s!r}")
+    return _renewal(headway, m).fail, int(math.floor(max_s / grid_step + 1e-9)) + 1
+
+
+def solve_renewal_cdf(headway, p_s: float, max_range: float,
+                      grid_step: float, max_s: float) -> CdfCurve:
+    """Solve the corrected renewal identity for F_D on [0, max_s].
+
+    F_D(0) = 1 - p_s F_H(L) exactly (the no-propagation atom); later grid
+    values come from implicit trapezoidal marching, then monotonicity
+    repair (decreases below 1e-6 clamp, anything larger raises).
+    """
+    fail, n = _solver_setup(headway, p_s, max_range, grid_step, max_s)
+    F = _march(headway, p_s, np.full(n, fail), grid_step, max_range, clamp=True)
+    F[0] = fail  # exact by construction, restated for clarity
+    return CdfCurve(grid_step, max_s, _repair(F))
+
+
+def solve_printed_cdf(headway, p_s: float, max_range: float,
+                      grid_step: float, max_s: float) -> np.ndarray:
+    """Evaluate the piecewise CDF recursion exactly as printed in the source.
+
+    For 0 < s <= L the printed middle case subtracts (1 + p_s) F_H(s) and
+    carries no p_s on the integral; for s > L the integral convolves
+    against F_D where the derivation calls for the tail of F_D. The output
+    is raw and unrepaired (it goes negative and non-monotone for most
+    inputs); it exists so the discrepancy against the corrected form can
+    be reported, never for downstream use.
+    """
+    fail, n = _solver_setup(headway, p_s, max_range, grid_step, max_s)
+    K = min(int(_snap_index(max_range / grid_step)[0]), n - 1)
+    const = np.full(n, 1.0 - headway.cdf(max_range))
+    const[0] = fail
+    const[1:K + 1] = [fail - (1.0 + p_s) * headway.cdf(j * grid_step)
+                      for j in range(1, K + 1)]
+    # same marching kernel as the corrected solver; only the constant term
+    # and the missing p_s factor on the integral differ
+    return _march(headway, 1.0, const, grid_step, max_range)
 
 
 def cdf(d: HeadwayDistribution, m: ContentionModel,

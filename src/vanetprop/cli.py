@@ -16,10 +16,12 @@ import argparse
 import csv
 import io
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, analytic, fading, mc
+from .analytic import solve_printed_cdf
 from .errors import DegenerateProcessError, NumericError, ValidationError
 from .headway import (
     DeterministicHeadway,
@@ -28,7 +30,6 @@ from .headway import (
     UniformHeadway,
     load_headway_file,
 )
-from .quad import solve_printed_cdf, solve_renewal_cdf
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,30 +37,64 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 EXIT_COMPARE = 5
 
-_HEADWAY_PARAMS = {
-    "exponential": ("rate",),
-    "uniform": ("low", "high"),
-    "lognormal": ("log_mean", "log_sd"),
-    "deterministic": ("spacing",),
-    "empirical": ("data",),
-}
-_FADING_PARAMS = ("pt", "gain", "d0", "alpha", "pth")
-
-# per scenario: the closed forms at one point, and the `analyze` columns
-# their dataclass fields fill, in field order
-_STATS = {
-    "contention": (["mu_D", "mean_lower", "mean_upper", "var_paper", "var_renewal",
-                    "var_lower", "var_upper", "mu_N"],
-                   lambda d, model: analytic.distance_stats(d, model)),
-    "fading": (["q_hop", "mu_D", "var_paper", "var_renewal"],
-               lambda d, model: fading.fading_stats(model, d)),
+# gap family -> (constructor, its parameters in argument order)
+_HEADWAYS = {
+    "exponential": (ExponentialHeadway, ("rate",)),
+    "uniform": (UniformHeadway, ("low", "high")),
+    "lognormal": (LognormalHeadway, ("log_mean", "log_sd")),
+    "deterministic": (DeterministicHeadway, ("spacing",)),
+    "empirical": (load_headway_file, ("data",)),
 }
 
-_CONFIG_KEYS = {
-    "scenario", "headway", "rate", "low", "high", "log_mean", "log_sd",
-    "spacing", "data", "ps", "range", "ps_table", "load",
-    "pt", "gain", "d0", "alpha", "pth",
-    "ds", "max_s", "trials", "seed", "workers", "sweep",
+
+class _Scenario(NamedTuple):
+    model: type            # channel model class
+    link: tuple[str, ...]  # its parameters, in argument order
+    columns: list[str]     # the `analyze` columns stats fills, in field order
+    stats: Callable        # (headway, model) -> every closed form at one point
+    has_cdf: bool          # a CDF solver exists for the model
+
+
+_SCENARIOS = {
+    "contention": _Scenario(
+        analytic.ContentionModel, ("ps", "range"),
+        ["mu_D", "mean_lower", "mean_upper", "var_paper", "var_renewal",
+         "var_lower", "var_upper", "mu_N"],
+        lambda d, model: analytic.distance_stats(d, model), True),
+    "fading": _Scenario(
+        fading.FadingModel, ("pt", "gain", "d0", "alpha", "pth"),
+        ["q_hop", "mu_D", "var_paper", "var_renewal"],
+        lambda d, model: fading.fading_stats(model, d), False),
+}
+
+# config key -> keywords of its --key-name flag. A config file accepts
+# exactly these keys; its values stay strings until _get reads them.
+_PARAMS = {
+    "seed": {"type": int},
+    "trials": {"type": int},
+    "workers": {"type": int,
+                "help": "simulation worker processes; results do not depend on it"},
+    "scenario": {"choices": list(_SCENARIOS)},
+    "headway": {"choices": sorted(_HEADWAYS)},
+    "rate": {"type": float},
+    "low": {"type": float},
+    "high": {"type": float},
+    "log_mean": {"type": float},
+    "log_sd": {"type": float},
+    "spacing": {"type": float},
+    "data": {"type": str, "help": "empirical headway sample file"},
+    "ps": {"type": float},
+    "range": {"type": float, "help": "contention max range L (m)"},
+    "ps_table": {"type": str, "help": "CSV of load,p_s pairs; interpolated at --load"},
+    "load": {"type": float},
+    "pt": {"type": float},
+    "gain": {"type": float},
+    "d0": {"type": float},
+    "alpha": {"type": float},
+    "pth": {"type": float},
+    "ds": {"type": float, "help": "CDF grid step (m)"},
+    "max_s": {"type": float, "help": "CDF grid end (m)"},
+    "sweep": {"nargs": 4, "metavar": ("NAME", "FROM", "TO", "STEPS")},  # analyze only
 }
 
 
@@ -74,35 +109,28 @@ def _read_config(path: str) -> dict[str, str]:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _PARAMS:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value.strip()
     return out
 
 
-def _as_float(params: dict, key: str) -> float:
+def _get(params: dict, key: str):
+    """params[key] as its flag's type; an empty value counts as missing."""
     v = params.get(key)
-    if v is None:
+    if v is None or v == "":
         raise ValidationError(f"missing required parameter {key!r}")
+    kind = _PARAMS[key]["type"]
     try:
-        return float(v)
+        return kind(v)
     except (TypeError, ValueError):
-        raise ValidationError(f"parameter {key!r} must be a number, got {v!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"parameter {key!r} must be {what}, got {v!r}") from None
 
 
-def _as_int(params: dict, key: str) -> int:
-    v = params.get(key)
-    if v is None:
-        raise ValidationError(f"missing required parameter {key!r}")
-    try:
-        if isinstance(v, float) and v != int(v):
-            raise ValueError
-        return int(v)
-    except (TypeError, ValueError):
-        raise ValidationError(f"parameter {key!r} must be an integer, got {v!r}") from None
-
-
-def _load_ps_table(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _table_ps(params: dict) -> float:
+    """p_s interpolated in the ps_table file at load."""
+    path = params["ps_table"]
     xs, ys = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -122,73 +150,41 @@ def _load_ps_table(path: str) -> tuple[np.ndarray, np.ndarray]:
             ys.append(y)
     if len(xs) < 2:
         raise ValidationError(f"{path}: need at least 2 rows, found {len(xs)}")
-    ax = np.array(xs)
-    if not np.all(np.diff(ax) > 0):
+    if not np.all(np.diff(xs) > 0):
         raise ValidationError(f"{path}: first column must be strictly increasing")
-    return ax, np.array(ys)
+    load = _get(params, "load")
+    if load < xs[0] or load > xs[-1]:
+        raise ValidationError(f"load {load!r} outside table range [{xs[0]!r}, {xs[-1]!r}]")
+    return float(np.interp(load, xs, ys))
+
+
+def _headway_keys(params: dict) -> tuple[str, ...]:
+    return _HEADWAYS.get(params.get("headway"), (None, ()))[1]
+
+
+def _link_keys(params: dict) -> tuple[str, ...]:
+    """The scenario's link parameters as read: with a ps_table, load stands for ps."""
+    keys = _SCENARIOS[params["scenario"]].link
+    return tuple("load" if k == "ps" and params.get("ps_table") else k for k in keys)
 
 
 def _build_headway(params: dict):
     family = params.get("headway")
-    if family not in _HEADWAY_PARAMS:
-        raise ValidationError(
-            f"headway must be one of {sorted(_HEADWAY_PARAMS)}, got {family!r}"
-        )
-    if family == "exponential":
-        return ExponentialHeadway(rate=_as_float(params, "rate"))
-    if family == "uniform":
-        return UniformHeadway(low=_as_float(params, "low"), high=_as_float(params, "high"))
-    if family == "lognormal":
-        return LognormalHeadway(log_mean=_as_float(params, "log_mean"),
-                                log_sd=_as_float(params, "log_sd"))
-    if family == "deterministic":
-        return DeterministicHeadway(spacing=_as_float(params, "spacing"))
-    path = params.get("data")
-    if not path:
-        raise ValidationError("empirical headway needs data = <path>")
-    return load_headway_file(path)
-
-
-def _effective_ps(params: dict) -> float:
-    table = params.get("ps_table")
-    if table:
-        xs, ys = _load_ps_table(table)
-        load = _as_float(params, "load")
-        if load < xs[0] or load > xs[-1]:
-            raise ValidationError(
-                f"load {load!r} outside table range [{xs[0]!r}, {xs[-1]!r}]"
-            )
-        return float(np.interp(load, xs, ys))
-    return _as_float(params, "ps")
+    if family not in _HEADWAYS:
+        raise ValidationError(f"headway must be one of {sorted(_HEADWAYS)}, got {family!r}")
+    make, keys = _HEADWAYS[family]
+    return make(*(_get(params, k) for k in keys))
 
 
 def _build_model(params: dict):
-    scenario = params.get("scenario", "contention")
-    if scenario == "contention":
-        return analytic.ContentionModel(p_s=_effective_ps(params),
-                                        max_range=_as_float(params, "range"))
-    if scenario == "fading":
-        return fading.FadingModel(
-            tx_power=_as_float(params, "pt"),
-            gain_const=_as_float(params, "gain"),
-            ref_distance=_as_float(params, "d0"),
-            path_loss_exp=_as_float(params, "alpha"),
-            power_threshold=_as_float(params, "pth"),
-        )
-    raise ValidationError(f"scenario must be contention or fading, got {scenario!r}")
-
-
-def _headway_params(params: dict) -> tuple[str, ...]:
-    return _HEADWAY_PARAMS.get(params.get("headway"), ())
+    args = (_table_ps(params) if k == "load" else _get(params, k) for k in _link_keys(params))
+    return _SCENARIOS[params["scenario"]].model(*args)
 
 
 def _read_params(params: dict) -> set[str]:
     """The numeric parameters the resolved scenario and headway family read."""
-    if params.get("scenario", "contention") == "fading":
-        names = set(_FADING_PARAMS)
-    else:
-        names = {"load" if params.get("ps_table") else "ps", "range"}
-    return names | set(_headway_params(params)) - {"data"}
+    keys = {*_link_keys(params), *_headway_keys(params)}
+    return {k for k in keys if _PARAMS[k]["type"] is float}
 
 
 def _sweep_values(params: dict):
@@ -231,12 +227,9 @@ def _sweep_values(params: dict):
 def _meta_lines(command: str, params: dict) -> list[str]:
     # workers and output paths are execution details, not part of the run
     # spec; leaving them out keeps reruns byte-identical across pool sizes
-    skip = {"log_sweep", "workers", "out", "ecdf_out"}
+    skip = {"workers", "out", "ecdf_out"}
     lines = [f"# vanetprop {__version__}", f"# command: {command}"]
-    for key in sorted(params):
-        if key in skip or params[key] is None:
-            continue
-        lines.append(f"# {key} = {params[key]}")
+    lines += [f"# {key} = {params[key]}" for key in sorted(params) if key not in skip]
     return lines
 
 
@@ -269,16 +262,8 @@ def _error_code(exc: Exception) -> int:
 
 
 def cmd_analyze(params: dict) -> int:
-    sweep = _sweep_values(params)
-    scenario = params.get("scenario", "contention")
-    if scenario not in _STATS:
-        raise ValidationError(f"scenario must be contention or fading, got {scenario!r}")
-    columns, stats = _STATS[scenario]
-    if sweep is None:
-        name, values = "point", [None]
-    else:
-        name, values = sweep
-
+    name, values = _sweep_values(params) or ("point", [None])
+    scenario = _SCENARIOS[params["scenario"]]
     rows = []
     code = EXIT_OK
     d = None
@@ -289,44 +274,34 @@ def cmd_analyze(params: dict) -> int:
         label = 0.0 if v is None else v
         try:
             # one headway serves every point unless the sweep varies it
-            if d is None or name in _headway_params(params):
+            if d is None or name in _headway_keys(params):
                 d = _build_headway(point)
-            st = stats(d, _build_model(point))
+            st = scenario.stats(d, _build_model(point))
             rows.append((label, *vars(st).values(), None))  # fields in definition order
         except (ValidationError, DegenerateProcessError, NumericError) as exc:
-            rows.append((label, *[None] * len(columns), f"{type(exc).__name__}: {exc}"))
+            rows.append((label, *[None] * len(scenario.columns), f"{type(exc).__name__}: {exc}"))
             if code == EXIT_OK:
                 code = _error_code(exc)
-    _emit(params.get("out"), _meta_lines("analyze", params), [name, *columns, "error"], rows)
+    _emit(params.get("out"), _meta_lines("analyze", params),
+          [name, *scenario.columns, "error"], rows)
     return code
 
 
-def _sim_config(params: dict, need_ecdf: bool) -> mc.SimConfig:
-    d = _build_headway(params)
-    model = _build_model(params)
-    grid = None
-    if need_ecdf:
-        grid = (_as_float(params, "ds"), _as_float(params, "max_s"))
-    return mc.SimConfig(
-        headway=d,
-        model=model,
-        trials=_as_int(params, "trials"),
-        seed=_as_int(params, "seed"),
-        ecdf_grid=grid,
-    )
+def _simulate(params: dict, ecdf: bool) -> tuple[mc.SimConfig, mc.SimStats]:
+    """Simulate the run params describe; with ecdf, also bin D on the ds/max_s grid."""
+    d, model = _build_headway(params), _build_model(params)
+    grid = (_get(params, "ds"), _get(params, "max_s")) if ecdf else None
+    cfg = mc.SimConfig(d, model, _get(params, "trials"), _get(params, "seed"), grid)
+    return cfg, mc.run(cfg, workers=_get(params, "workers"))
 
 
 def cmd_simulate(params: dict) -> int:
     ecdf_out = params.get("ecdf_out")
-    cfg = _sim_config(params, need_ecdf=bool(ecdf_out))
-    stats = mc.run(cfg, workers=_as_int(params, "workers"))
+    _, stats = _simulate(params, ecdf=bool(ecdf_out))
     header = ["trials", "mean_D", "ci95_mean_D", "var_D", "ci95_var_D",
-              "mean_N", "ci95_mean_N", "zero_fraction"]
-    rows = [[stats.trials, stats.mean_D, stats.ci95_mean_D, stats.var_D,
-             stats.ci95_var_D, stats.mean_N, stats.ci95_mean_N,
-             stats.zero_fraction]]
+              "mean_N", "ci95_mean_N", "zero_fraction"]  # SimStats fields
     meta = _meta_lines("simulate", params)
-    _emit(params.get("out"), meta, header, rows)
+    _emit(params.get("out"), meta, header, [[getattr(stats, k) for k in header]])
     if ecdf_out:
         erows = np.column_stack((stats.ecdf.grid(), stats.ecdf.values)).tolist()
         _emit(ecdf_out, meta, ["s", "F_D_ecdf"], erows)
@@ -334,23 +309,22 @@ def cmd_simulate(params: dict) -> int:
 
 
 def cmd_compare(params: dict) -> int:
-    scenario = params.get("scenario", "contention")
-    want_cdf = scenario == "contention" and params.get("ds") is not None \
-        and params.get("max_s") is not None
-    cfg = _sim_config(params, need_ecdf=want_cdf)
-    stats = mc.run(cfg, workers=_as_int(params, "workers"))
+    scenario = _SCENARIOS[params["scenario"]]
+    # either grid key asks for the CDF check; _simulate then requires both
+    want_cdf = scenario.has_cdf and any(params.get(k) is not None for k in ("ds", "max_s"))
+    cfg, stats = _simulate(params, ecdf=want_cdf)
 
     d, model = cfg.headway, cfg.model
-    printed = _STATS[scenario][1](d, model).var_paper  # the scenario's printed variance
     checks = [  # (metric label, report, required)
         ("mean_D", mc.compare(analytic.mean_distance(d, model), stats, "mean_D"), True),
         ("var_D_renewal", mc.compare(analytic.variance_renewal(d, model), stats, "var_D"),
          True),
-        ("var_D_paper", mc.compare(printed, stats, "var_D"), False),
+        ("var_D_paper", mc.compare(scenario.stats(d, model).var_paper, stats, "var_D"),
+         False),
         ("mean_N", mc.compare(analytic.mean_cluster_size(d, model), stats, "mean_N"), True),
     ]
     if want_cdf:
-        curve = analytic.cdf(d, model, _as_float(params, "ds"), _as_float(params, "max_s"))
+        curve = analytic.cdf(d, model, *cfg.ecdf_grid)
         checks.append(("cdf_supnorm", mc.compare(curve, stats, "cdf_supnorm"), True))
 
     renewal_passed = next(r.passed for label, r, _ in checks if label == "var_D_renewal")
@@ -373,76 +347,53 @@ def cmd_compare(params: dict) -> int:
 
 
 def cmd_cdf(params: dict) -> int:
-    if params.get("scenario", "contention") != "contention":
-        raise ValidationError("the cdf command supports the contention scenario only")
-    cfg = _sim_config(params, need_ecdf=True)
-    stats = mc.run(cfg, workers=_as_int(params, "workers"))
-    ds = _as_float(params, "ds")
-    max_s = _as_float(params, "max_s")
+    scenario = params["scenario"]
+    if not _SCENARIOS[scenario].has_cdf:
+        raise ValidationError(f"the cdf command has no solver for the {scenario} scenario")
+    cfg, stats = _simulate(params, ecdf=True)
+    ds, max_s = cfg.ecdf_grid
     curve = analytic.cdf(cfg.headway, cfg.model, ds, max_s)
-    printed = None
-    if params.get("printed_form"):
-        printed = solve_printed_cdf(cfg.headway, cfg.model.p_s,
-                                    cfg.model.max_range, ds, max_s)
     header = ["s", "F_D_analytic", "F_D_ecdf", "abs_diff"]
     diff = np.abs(curve.values - stats.ecdf.values)
     cols = [curve.grid(), curve.values, stats.ecdf.values, diff]
-    if printed is not None:
+    if params.get("printed_form"):
         header.append("F_D_printed")
-        cols.append(printed)
-    sup = float(np.max(diff))
+        cols.append(solve_printed_cdf(cfg.headway, cfg.model.p_s,
+                                      cfg.model.max_range, ds, max_s))
     _emit(params.get("out"), _meta_lines("cdf", params), header,
-          np.column_stack(cols).tolist(), footer=f"# sup_norm = {sup!r}")
+          np.column_stack(cols).tolist(), footer=f"# sup_norm = {float(np.max(diff))!r}")
     return EXIT_OK
+
+
+# subcommand -> (handler, help, its flags beyond the shared ones)
+_COMMANDS = {
+    "analyze": (cmd_analyze, "closed forms, optionally over a sweep",
+                {"--sweep": _PARAMS["sweep"], "--log-sweep": {"action": "store_true"}}),
+    "simulate": (cmd_simulate, "Monte Carlo run",
+                 {"--ecdf-out": {"help": "also write the simulated ECDF here "
+                                         "(needs --ds/--max-s)"}}),
+    "compare": (cmd_compare, "closed forms vs simulation", {}),
+    "cdf": (cmd_cdf, "distance CDF curve vs simulated ECDF",
+            {"--printed-form": {"action": "store_true",
+                                "help": "add the uncorrected printed recursion as a column"}}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="key = value parameter file")
     shared.add_argument("--out", help="write CSV here instead of stdout")
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--trials", type=int)
-    shared.add_argument("--workers", type=int,
-                        help="simulation worker processes; results do not depend on it")
-    shared.add_argument("--scenario", choices=["contention", "fading"])
-    shared.add_argument("--headway",
-                        choices=sorted(_HEADWAY_PARAMS))
-    shared.add_argument("--rate", type=float)
-    shared.add_argument("--low", type=float)
-    shared.add_argument("--high", type=float)
-    shared.add_argument("--log-mean", dest="log_mean", type=float)
-    shared.add_argument("--log-sd", dest="log_sd", type=float)
-    shared.add_argument("--spacing", type=float)
-    shared.add_argument("--data", help="empirical headway sample file")
-    shared.add_argument("--ps", type=float)
-    shared.add_argument("--range", type=float, help="contention max range L (m)")
-    shared.add_argument("--ps-table", dest="ps_table",
-                        help="CSV of load,p_s pairs; interpolated at --load")
-    shared.add_argument("--load", type=float)
-    shared.add_argument("--pt", type=float)
-    shared.add_argument("--gain", type=float)
-    shared.add_argument("--d0", type=float)
-    shared.add_argument("--alpha", type=float)
-    shared.add_argument("--pth", type=float)
-    shared.add_argument("--ds", type=float, help="CDF grid step (m)")
-    shared.add_argument("--max-s", dest="max_s", type=float, help="CDF grid end (m)")
+    for key, kwargs in _PARAMS.items():
+        if key != "sweep":
+            shared.add_argument("--" + key.replace("_", "-"), **kwargs)
 
     top = argparse.ArgumentParser(prog="vanetprop", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
-    pa = sub.add_parser("analyze", parents=[shared],
-                        help="closed forms, optionally over a sweep")
-    pa.add_argument("--sweep", nargs=4, metavar=("NAME", "FROM", "TO", "STEPS"))
-    pa.add_argument("--log-sweep", dest="log_sweep", action="store_true")
-    ps_ = sub.add_parser("simulate", parents=[shared], help="Monte Carlo run")
-    ps_.add_argument("--ecdf-out", dest="ecdf_out",
-                     help="also write the simulated ECDF here (needs --ds/--max-s)")
-    sub.add_parser("compare", parents=[shared],
-                   help="closed forms vs simulation")
-    pc = sub.add_parser("cdf", parents=[shared],
-                        help="distance CDF curve vs simulated ECDF")
-    pc.add_argument("--printed-form", dest="printed_form", action="store_true",
-                    help="add the uncorrected printed recursion as a column")
+    for name, (_, help_, flags) in _COMMANDS.items():
+        parser = sub.add_parser(name, parents=[shared], help=help_)
+        for flag, kwargs in flags.items():
+            parser.add_argument(flag, **kwargs)
     return top
 
 
@@ -458,6 +409,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             continue
         if value is not None and value is not False:
             params[key] = value
+    if params["scenario"] not in _SCENARIOS:
+        raise ValidationError(
+            f"scenario must be one of {list(_SCENARIOS)}, got {params['scenario']!r}")
     # canonical sweep string so the metadata echo is stable
     if "sweep" in params:
         spec = params["sweep"]
@@ -475,14 +429,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        params = _resolve(args)
-        if args.command == "analyze":
-            return cmd_analyze(params)
-        if args.command == "simulate":
-            return cmd_simulate(params)
-        if args.command == "compare":
-            return cmd_compare(params)
-        return cmd_cdf(params)
+        return _COMMANDS[args.command][0](_resolve(args))
     except (ValidationError, DegenerateProcessError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _error_code(exc)

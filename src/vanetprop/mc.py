@@ -54,8 +54,9 @@ class SimConfig:
         if self.ecdf_grid is not None:
             step, max_s = self.ecdf_grid
             if not (isinstance(step, (int, float)) and 0 < step) \
-                    or not (isinstance(max_s, (int, float)) and max_s >= step):
-                raise ValidationError(f"ecdf_grid must be (step > 0, max_s >= step), got {self.ecdf_grid!r}")
+                    or not (isinstance(max_s, (int, float)) and step <= max_s < math.inf):
+                raise ValidationError("ecdf_grid must be (step > 0, finite max_s >= step), "
+                                      f"got {self.ecdf_grid!r}")
 
 
 @dataclass(frozen=True)

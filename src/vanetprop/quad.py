@@ -1,4 +1,4 @@
-"""Adaptive quadrature and the renewal-equation CDF solver.
+"""Adaptive quadrature and the convolution march under the CDF solvers.
 
 The integrator is a Gauss 7 / Kronrod 15 panel rule with worst-panel
 bisection: the Kronrod value is the estimate, |K15 - G7| the panel error,
@@ -6,20 +6,15 @@ and the panel with the largest error is split until the summed error
 drops below max(rel_tol * |value|, 1e-14). Semi-infinite integrals are
 mapped to [0, 1) with tau = a + t/(1-t).
 
-The solver marches the corrected renewal identity
-
-    F_D(s) = 1 - p_s F_H(L) + p_s * integral_0^min(s,L) f_H(tau) F_D(s - tau) dtau
-
-on a uniform grid as a causal convolution with fixed lag weights:
-trapezoid weights of f_H (implicit in the tau = 0 endpoint), or two
-interpolating lags per atom for atomic laws. Blocks of B grid points are
+The CDF solvers live in `analytic`; `_march` solves their renewal
+equation on a uniform grid as a causal convolution with fixed lag
+weights: trapezoid weights of f_H (implicit in the tau = 0 endpoint), or
+two interpolating lags per atom for atomic laws. Blocks of B grid points are
 solved together, after Hairer, Lubich & Schlichte (SIAM J. Sci. Stat.
 Comput. 6(3), 1985): a block's history is one FFT convolution with the
 solved prefix, the block itself the inverse of its lower-triangular
 Toeplitz matrix. n points and K lags cost O((n/B) K log K + n B), not
-the O(n K) of a point-by-point march. The piecewise form printed in the
-source theorem is kept available, unrepaired, for discrepancy reporting
-only.
+the O(n K) of a point-by-point march.
 """
 
 from __future__ import annotations
@@ -31,15 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateProcessError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 
 __all__ = [
     "QuadResult",
     "integrate",
     "integrate_semi_infinite",
     "CdfCurve",
-    "solve_renewal_cdf",
-    "solve_printed_cdf",
 ]
 
 ABS_FLOOR = 1e-14
@@ -216,26 +209,6 @@ class CdfCurve:
         )
 
 
-def _check_solver_args(headway, p_s: float, max_range: float,
-                       grid_step: float, max_s: float) -> float:
-    if not (isinstance(p_s, (int, float)) and 0.0 <= p_s <= 1.0):
-        raise ValidationError(f"p_s must lie in [0, 1], got {p_s!r}")
-    if not (isinstance(max_range, (int, float)) and math.isfinite(max_range)) or max_range <= 0:
-        raise ValidationError(f"max_range must be finite and > 0, got {max_range!r}")
-    if not (0.0 < grid_step <= max_range / 10.0):
-        raise ValidationError(
-            f"grid_step must satisfy 0 < grid_step <= max_range/10, got {grid_step!r}"
-        )
-    if not (math.isfinite(max_s) and max_s >= max_range):
-        raise ValidationError(f"max_s must be finite and >= max_range, got {max_s!r}")
-    q = p_s * headway.cdf(max_range)
-    if q >= 1.0:
-        raise DegenerateProcessError(
-            f"p_s * F_H(L) = {q!r}: propagation never terminates"
-        )
-    return q
-
-
 def _repair(values: np.ndarray) -> np.ndarray:
     """Clamp float-level monotonicity wobble; a real decrease is a failure."""
     clipped = np.minimum(values, 1.0)
@@ -378,42 +351,3 @@ def _march(headway, coef: float, const: np.ndarray, step: float, upper: float,
             np.minimum(blk, 1.0, out=blk)
         F[lo:hi] = blk
     return F
-
-
-def solve_renewal_cdf(headway, p_s: float, max_range: float,
-                      grid_step: float, max_s: float) -> CdfCurve:
-    """Solve the corrected renewal identity for F_D on [0, max_s].
-
-    F_D(0) = 1 - p_s F_H(L) exactly (the no-propagation atom); later grid
-    values come from implicit trapezoidal marching, then monotonicity
-    repair (decreases below 1e-6 clamp, anything larger raises).
-    """
-    q = _check_solver_args(headway, p_s, max_range, grid_step, max_s)
-    n = int(math.floor(max_s / grid_step + 1e-9)) + 1
-    g0 = 1.0 - q
-    F = _march(headway, p_s, np.full(n, g0), grid_step, max_range, clamp=True)
-    F[0] = g0  # exact by construction, restated for clarity
-    return CdfCurve(grid_step, max_s, _repair(F))
-
-
-def solve_printed_cdf(headway, p_s: float, max_range: float,
-                      grid_step: float, max_s: float) -> np.ndarray:
-    """Evaluate the piecewise CDF recursion exactly as printed in the source.
-
-    For 0 < s <= L the printed middle case subtracts (1 + p_s) F_H(s) and
-    carries no p_s on the integral; for s > L the integral convolves
-    against F_D where the derivation calls for the tail of F_D. The output
-    is raw and unrepaired (it goes negative and non-monotone for most
-    inputs); it exists so the discrepancy against the corrected form can
-    be reported, never for downstream use.
-    """
-    q = _check_solver_args(headway, p_s, max_range, grid_step, max_s)
-    n = int(math.floor(max_s / grid_step + 1e-9)) + 1
-    K = min(int(_snap_index(max_range / grid_step)[0]), n - 1)
-    const = np.full(n, 1.0 - headway.cdf(max_range))
-    const[0] = 1.0 - q
-    const[1:K + 1] = [1.0 - q - (1.0 + p_s) * headway.cdf(j * grid_step)
-                      for j in range(1, K + 1)]
-    # same marching kernel as the corrected solver; only the constant term
-    # and the missing p_s factor on the integral differ
-    return _march(headway, 1.0, const, grid_step, max_range)

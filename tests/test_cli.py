@@ -1,6 +1,8 @@
 """Command line interface: subcommands, config handling, exit codes."""
 
+import argparse
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,11 +15,13 @@ from vanetprop import (
     EmpiricalHeadway,
     ExponentialHeadway,
     NumericError,
+    ValidationError,
     mean_cluster_size,
     mean_distance,
 )
 from vanetprop.cli import main
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 EXP_ARGS = ["--headway", "exponential", "--rate", "0.2",
             "--ps", "0.9", "--range", "100"]
 
@@ -220,6 +224,14 @@ def test_simulate_ecdf_output(tmp_path):
     assert abs(vals[0] - 0.1) < 0.02
 
 
+def test_simulate_rejects_an_infinite_ecdf_grid(tmp_path, capsys):
+    code = main(["simulate", *EXP_ARGS, "--trials", "100", "--ds", "1", "--max-s", "inf",
+                 "--out", str(tmp_path / "s.csv"), "--ecdf-out", str(tmp_path / "e.csv")])
+    assert code == 2
+    assert "finite max_s" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_simulate_rejects_zero_trials(tmp_path):
     assert main(["simulate", *EXP_ARGS, "--trials", "0",
                  "--out", str(tmp_path / "x.csv")]) == 2
@@ -250,6 +262,24 @@ def test_compare_with_cdf_grid(tmp_path):
     _, _, rows, _ = parse(out)
     status = {r[0]: r[-1] for r in rows}
     assert status["cdf_supnorm"] == "pass"
+
+
+@pytest.mark.parametrize("given, missing", [("--ds", "max_s"), ("--max-s", "ds")])
+def test_compare_with_half_a_cdf_grid_names_the_missing_key(tmp_path, capsys, given, missing):
+    out = tmp_path / "c.csv"
+    code = main(["compare", *EXP_ARGS, "--trials", "1000", given, "1", "--out", str(out)])
+    assert code == 2
+    assert f"missing required parameter {missing!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_fading_ignores_the_cdf_grid(tmp_path):
+    # no CDF solver for fading yet, so a grid key asks for no check
+    out = tmp_path / "f.csv"
+    code = main(["compare", "--config", str(CONFIGS / "fading.cfg"), "--trials", "20000",
+                 "--ds", "1", "--out", str(out)])
+    assert code == 0
+    assert "cdf_supnorm" not in out.read_text()
 
 
 def test_compare_zero_success_probability(tmp_path):
@@ -389,13 +419,90 @@ def test_missing_config_file_is_a_validation_error(tmp_path):
 
 
 def test_shipped_example_configs(tmp_path):
-    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
     for name in ("contention.cfg", "fading.cfg"):
         out = tmp_path / f"{name}.csv"
-        assert main(["analyze", "--config", str(configs / name),
+        assert main(["analyze", "--config", str(CONFIGS / name),
                      "--out", str(out)]) == 0
         _, header, rows, _ = parse(out)
         assert len(rows) == 1 and rows[0][-1] == ""
+
+
+FADING_KEYS = {"pt": 1, "gain": 1, "d0": 1, "alpha": 2, "pth": 0.001}
+
+
+def _route_cases(tmp_path):
+    """(command, params) pairs covering every gap family, fading and ps_table."""
+    gaps = tmp_path / "gaps.txt"
+    gaps.write_text("2\n5\n5\n9\n14\n33\n")
+    table = tmp_path / "ps.csv"
+    table.write_text("0.0,0.1\n50.0,0.5\n100.0,0.9\n")
+    link = {"ps": 0.9, "range": 100}
+    return [
+        ("analyze", {"headway": "exponential", "rate": 0.2, **link}),
+        ("analyze", {"headway": "uniform", "low": 2, "high": 20, **link}),
+        ("analyze", {"headway": "lognormal", "log_mean": 1.5, "log_sd": 0.6, **link}),
+        ("analyze", {"headway": "deterministic", "spacing": 33.3, **link}),
+        ("analyze", {"headway": "empirical", "data": gaps, **link}),
+        ("analyze", {"scenario": "fading", "headway": "lognormal", "log_mean": 1.5,
+                     "log_sd": 0.6, **FADING_KEYS}),
+        ("analyze", {"headway": "exponential", "rate": 0.2, "range": 100,
+                     "ps_table": table, "load": 25}),
+        ("simulate", {"headway": "uniform", "low": 2, "high": 20, **link,
+                      "trials": 3000, "seed": 4, "workers": 2}),
+        ("compare", {"scenario": "fading", "headway": "exponential", "rate": 0.2,
+                     **FADING_KEYS, "trials": 3000, "seed": 5}),
+        ("cdf", {"headway": "empirical", "data": gaps, "ps": 0.8, "range": 100,
+                 "ds": 0.5, "max_s": 200, "trials": 3000, "seed": 6}),
+    ]
+
+
+def test_config_file_and_flags_give_the_same_rows(tmp_path):
+    for i, (command, params) in enumerate(_route_cases(tmp_path)):
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
+        flags = [a for k, v in params.items() for a in ("--" + k.replace("_", "-"), str(v))]
+        by_cfg, by_flags = tmp_path / f"{i}c.csv", tmp_path / f"{i}f.csv"
+        assert main([command, "--config", str(cfg), "--out", str(by_cfg)]) == 0
+        assert main([command, *flags, "--out", str(by_flags)]) == 0
+        # the metadata echo differs ('100' against '100.0'); the data must not
+        assert parse(by_cfg)[1:3] == parse(by_flags)[1:3], (command, params)
+
+
+# flags that are not parameters of the run, so no config key either
+NOT_CONFIG_KEYS = {"help", "config", "out", "log_sweep", "ecdf_out", "printed_form"}
+
+
+def test_every_config_key_is_a_flag_on_every_subcommand(tmp_path):
+    top = cli._build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: {a.dest for a in p._actions} for name, p in sub.choices.items()}
+    assert set(dests) == {"analyze", "simulate", "compare", "cdf"}
+
+    cfg = tmp_path / "one.cfg"
+
+    def accepted(key):
+        cfg.write_text(f"{key} = 1\n")
+        try:
+            return key in cli._read_config(str(cfg))
+        except ValidationError:
+            return False
+
+    flags = set().union(*dests.values())
+    keys = {k for k in flags | set(cli._PARAMS) | {"rtae", "command"} if accepted(k)}
+    assert keys == flags - NOT_CONFIG_KEYS
+    for name, names in dests.items():
+        assert names - NOT_CONFIG_KEYS == (keys if name == "analyze" else keys - {"sweep"})
+
+
+def test_contention_cfg_documents_every_config_key():
+    lines = (CONFIGS / "contention.cfg").read_text().splitlines()
+    documented = set()
+    for line in lines[lines.index("# Recognized keys") + 1:]:
+        if not line.startswith("#   "):
+            break
+        names = re.split(r"\s{2,}", line[1:].strip())[0]
+        documented |= {n.strip() for n in names.split(",")}
+    assert documented == set(cli._PARAMS)
 
 
 def test_ps_table_interpolation(tmp_path):

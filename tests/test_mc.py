@@ -371,6 +371,12 @@ def test_config_validation():
         run(SimConfig(EXP, M_EXP, trials=10, seed=0), workers=0)
 
 
+@pytest.mark.parametrize("grid", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
+def test_config_rejects_a_non_finite_ecdf_grid(grid):
+    with pytest.raises(ValidationError, match="finite max_s"):
+        SimConfig(EXP, M_EXP, trials=10, seed=0, ecdf_grid=grid)
+
+
 def test_degenerate_processes_refuse_to_run():
     with pytest.raises(DegenerateProcessError):
         run(SimConfig(UniformHeadway(0.0, 10.0), ContentionModel(1.0, 100.0),

@@ -200,6 +200,22 @@ def test_solver_argument_validation():
         solve_renewal_cdf(d, 0.5, -1.0, grid_step=1.0, max_s=200.0)
 
 
+@pytest.mark.parametrize("solve", [solve_renewal_cdf, solve_printed_cdf])
+def test_solver_checks_model_then_grid_then_degeneracy(solve):
+    d = UniformHeadway(0.0, 10.0)  # with p_s = 1 every hop succeeds
+    with pytest.raises(ValidationError, match="p_s must lie"):
+        solve(d, 1.5, -1.0, 11.0, 50.0)
+    with pytest.raises(ValidationError, match="max_range must be"):
+        solve(d, 1.0, -1.0, 11.0, 50.0)
+    with pytest.raises(ValidationError, match="grid_step must"):
+        solve(d, 1.0, 100.0, 11.0, 50.0)
+    with pytest.raises(ValidationError, match="max_s must"):
+        solve(d, 1.0, 100.0, 1.0, math.inf)
+    # the model's core names the degeneracy, for the solvers as for every closed form
+    with pytest.raises(DegenerateProcessError, match="1 - q = 0.0"):
+        solve(d, 1.0, 100.0, 1.0, 200.0)
+
+
 @pytest.mark.parametrize("d", solver_families())
 def test_solver_output_is_a_cdf(d):
     curve = solve_renewal_cdf(d, 0.8, 100.0, grid_step=0.5, max_s=300.0)
