@@ -16,15 +16,16 @@ the printed second-moment identity, whose cross term drops the square of
 the conditional mean; `variance_renewal` is the compound-geometric
 variance. They disagree whenever propagation can continue past one hop;
 simulation arbitrates (see the mc module). Bounds enclose the printed
-variant, which is what they were derived against. The bounds, the
-printed variance and the CDF are contention-only.
+variant, which is what they were derived against. The bounds and the
+printed variance are contention-only.
 
-The CDF solvers live here, next to the model. `solve_renewal_cdf`
-solves the renewal equation F_D(s) = 1 - q + p_s int_0^min(s,L) f_H(t)
-F_D(s - t) dt; `solve_printed_cdf` evaluates the form printed in the
-source theorem, unrepaired, for discrepancy reporting only. Both check
-p_s and L through `ContentionModel` and take 1 - q and the degeneracy
-check from the core; `quad._march` does the numerics.
+`cdf` is the one CDF solver, for either model: it solves the renewal
+equation F_D(s) = 1 - q + int_0^s f_H(t) p(t) F_D(s - t) dt with the hop
+kernel f_H p = p(0) f_H shape on [0, upper] from the model's
+`hop_kernel`, and `quad` marches its lag weights. `solve_renewal_cdf`
+is `cdf` under a contention model; `solve_printed_cdf` evaluates the
+form printed in the source theorem, unrepaired, for discrepancy
+reporting only.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateProcessError, ValidationError
 from .headway import HeadwayDistribution
-from .quad import CdfCurve, _march, _repair, _snap_index
+from .quad import CdfCurve, _lag_weights, _march, _repair, _snap_index
 
 __all__ = [
     "ContentionModel",
@@ -76,6 +77,17 @@ class ContentionModel:
         q = self.p_s * d.cdf(L)
         return (q, 1.0 - q, self.p_s * d.truncated_moment(1, L),
                 self.p_s * d.truncated_moment(2, L))
+
+    def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
+        """p_s f_H on [0, L]: (p(0) = p_s, shape 1, upper L, mass F_H(L) as a callable),
+        once the grid resolves L: grid_step <= L/10 and max_s >= L."""
+        L = self.max_range
+        if not grid_step <= L / 10.0:
+            raise ValidationError(
+                f"grid_step must satisfy grid_step <= max_range/10, got {grid_step!r}")
+        if not max_s >= L:
+            raise ValidationError(f"max_s must be >= max_range, got {max_s!r}")
+        return self.p_s, lambda tau: 1.0, L, lambda: d.cdf(L)
 
     def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Simulated hop outcomes: gap within range and uniform draw u below p_s."""
@@ -171,31 +183,32 @@ def mean_cluster_size(d: HeadwayDistribution, m) -> float:
     return _renewal(d, m).cluster_size
 
 
-def _solver_setup(headway, p_s: float, max_range: float,
-                  grid_step: float, max_s: float) -> tuple[float, int]:
-    """1 - q and the grid size, after the model's, the grid's and the degeneracy checks."""
-    m = ContentionModel(p_s, max_range)
-    if not (0.0 < grid_step <= max_range / 10.0):
-        raise ValidationError(
-            f"grid_step must satisfy 0 < grid_step <= max_range/10, got {grid_step!r}"
-        )
-    if not (math.isfinite(max_s) and max_s >= max_range):
-        raise ValidationError(f"max_s must be finite and >= max_range, got {max_s!r}")
-    return _renewal(headway, m).fail, int(math.floor(max_s / grid_step + 1e-9)) + 1
+def _solver_setup(d: HeadwayDistribution, m, grid_step: float, max_s: float):
+    """(1 - q, grid size, m's hop kernel), after the grid's, m's and the degeneracy checks."""
+    if not grid_step > 0.0:
+        raise ValidationError(f"grid_step must be > 0, got {grid_step!r}")
+    kernel = m.hop_kernel(d, grid_step, max_s)
+    if not (math.isfinite(max_s) and max_s >= grid_step):
+        raise ValidationError(f"max_s must be finite and >= grid_step, got {max_s!r}")
+    return _renewal(d, m).fail, int(math.floor(max_s / grid_step + 1e-9)) + 1, kernel
+
+
+def cdf(d: HeadwayDistribution, m, grid_step: float, max_s: float) -> CdfCurve:
+    """F_D on [0, max_s] for either channel model: F_D(0) = 1 - q exactly, later
+    grid values by implicit trapezoidal marching against the lag weights of the
+    model's hop kernel f_H p, then monotonicity repair (decreases below 1e-6
+    clamp, anything larger raises)."""
+    fail, n, (coef, shape, upper, mass) = _solver_setup(d, m, grid_step, max_s)
+    w, dw = _lag_weights(d, shape, mass, coef, grid_step, upper)
+    F = _march(w, dw, coef, np.full(n, fail), clamp=True)
+    F[0] = fail  # exact by construction, restated for clarity
+    return CdfCurve(grid_step, max_s, _repair(F))
 
 
 def solve_renewal_cdf(headway, p_s: float, max_range: float,
                       grid_step: float, max_s: float) -> CdfCurve:
-    """Solve the corrected renewal identity for F_D on [0, max_s].
-
-    F_D(0) = 1 - p_s F_H(L) exactly (the no-propagation atom); later grid
-    values come from implicit trapezoidal marching, then monotonicity
-    repair (decreases below 1e-6 clamp, anything larger raises).
-    """
-    fail, n = _solver_setup(headway, p_s, max_range, grid_step, max_s)
-    F = _march(headway, p_s, np.full(n, fail), grid_step, max_range, clamp=True)
-    F[0] = fail  # exact by construction, restated for clarity
-    return CdfCurve(grid_step, max_s, _repair(F))
+    """`cdf` under ContentionModel(p_s, max_range)."""
+    return cdf(headway, ContentionModel(p_s, max_range), grid_step, max_s)
 
 
 def solve_printed_cdf(headway, p_s: float, max_range: float,
@@ -209,21 +222,17 @@ def solve_printed_cdf(headway, p_s: float, max_range: float,
     inputs); it exists so the discrepancy against the corrected form can
     be reported, never for downstream use.
     """
-    fail, n = _solver_setup(headway, p_s, max_range, grid_step, max_s)
+    m = ContentionModel(p_s, max_range)
+    fail, n, (_, shape, upper, mass) = _solver_setup(headway, m, grid_step, max_s)
     K = min(int(_snap_index(max_range / grid_step)[0]), n - 1)
     const = np.full(n, 1.0 - headway.cdf(max_range))
     const[0] = fail
     const[1:K + 1] = [fail - (1.0 + p_s) * headway.cdf(j * grid_step)
                       for j in range(1, K + 1)]
-    # same marching kernel as the corrected solver; only the constant term
+    # same lag weights as the corrected solver; only the constant term
     # and the missing p_s factor on the integral differ
-    return _march(headway, 1.0, const, grid_step, max_range)
-
-
-def cdf(d: HeadwayDistribution, m: ContentionModel,
-        grid_step: float, max_s: float) -> CdfCurve:
-    """F_D on a uniform grid via the renewal-equation solver."""
-    return solve_renewal_cdf(d, m.p_s, m.max_range, grid_step, max_s)
+    w, dw = _lag_weights(headway, shape, mass, 1.0, grid_step, upper)
+    return _march(w, dw, 1.0, const)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Subcommands: analyze (closed forms over an optional sweep), simulate
 (Monte Carlo), compare (closed forms vs simulation with pass/fail
-arbitration), cdf (distance CDF curve vs simulated ECDF).
+arbitration), cdf (distance CDF curve vs simulated ECDF, either scenario).
 
 Output is CSV, preceded by '#' metadata lines that echo the resolved run
 parameters (never execution details like worker count, so reruns are
@@ -52,7 +52,6 @@ class _Scenario(NamedTuple):
     link: tuple[str, ...]  # its parameters, in argument order
     columns: list[str]     # the `analyze` columns stats fills, in field order
     stats: Callable        # (headway, model) -> every closed form at one point
-    has_cdf: bool          # a CDF solver exists for the model
 
 
 _SCENARIOS = {
@@ -60,11 +59,11 @@ _SCENARIOS = {
         analytic.ContentionModel, ("ps", "range"),
         ["mu_D", "mean_lower", "mean_upper", "var_paper", "var_renewal",
          "var_lower", "var_upper", "mu_N"],
-        lambda d, model: analytic.distance_stats(d, model), True),
+        lambda d, model: analytic.distance_stats(d, model)),
     "fading": _Scenario(
         fading.FadingModel, ("pt", "gain", "d0", "alpha", "pth"),
         ["q_hop", "mu_D", "var_paper", "var_renewal"],
-        lambda d, model: fading.fading_stats(model, d), False),
+        lambda d, model: fading.fading_stats(model, d)),
 }
 
 # config key -> keywords of its --key-name flag. A config file accepts
@@ -128,8 +127,10 @@ def _get(params: dict, key: str):
         raise ValidationError(f"parameter {key!r} must be {what}, got {v!r}") from None
 
 
-def _table_ps(params: dict) -> float:
-    """p_s interpolated in the ps_table file at load."""
+def _ps_table(params: dict) -> Callable[[float], float] | None:
+    """load -> p_s from the run's ps_table file, read and checked once; None without one."""
+    if "load" not in _link_keys(params):
+        return None
     path = params["ps_table"]
     xs, ys = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -152,10 +153,13 @@ def _table_ps(params: dict) -> float:
         raise ValidationError(f"{path}: need at least 2 rows, found {len(xs)}")
     if not np.all(np.diff(xs) > 0):
         raise ValidationError(f"{path}: first column must be strictly increasing")
-    load = _get(params, "load")
-    if load < xs[0] or load > xs[-1]:
-        raise ValidationError(f"load {load!r} outside table range [{xs[0]!r}, {xs[-1]!r}]")
-    return float(np.interp(load, xs, ys))
+
+    def p_s(load: float) -> float:
+        if load < xs[0] or load > xs[-1]:
+            raise ValidationError(f"load {load!r} outside table range [{xs[0]!r}, {xs[-1]!r}]")
+        return float(np.interp(load, xs, ys))
+
+    return p_s
 
 
 def _headway_keys(params: dict) -> tuple[str, ...]:
@@ -176,8 +180,10 @@ def _build_headway(params: dict):
     return make(*(_get(params, k) for k in keys))
 
 
-def _build_model(params: dict):
-    args = (_table_ps(params) if k == "load" else _get(params, k) for k in _link_keys(params))
+def _build_model(params: dict, table: Callable[[float], float] | None):
+    """The scenario's channel model; with a ps_table, p_s is `table` (from _ps_table) at load."""
+    args = (table(_get(params, k)) if k == "load" else _get(params, k)
+            for k in _link_keys(params))
     return _SCENARIOS[params["scenario"]].model(*args)
 
 
@@ -264,6 +270,7 @@ def _error_code(exc: Exception) -> int:
 def cmd_analyze(params: dict) -> int:
     name, values = _sweep_values(params) or ("point", [None])
     scenario = _SCENARIOS[params["scenario"]]
+    table = _ps_table(params)
     rows = []
     code = EXIT_OK
     d = None
@@ -276,7 +283,7 @@ def cmd_analyze(params: dict) -> int:
             # one headway serves every point unless the sweep varies it
             if d is None or name in _headway_keys(params):
                 d = _build_headway(point)
-            st = scenario.stats(d, _build_model(point))
+            st = scenario.stats(d, _build_model(point, table))
             rows.append((label, *vars(st).values(), None))  # fields in definition order
         except (ValidationError, DegenerateProcessError, NumericError) as exc:
             rows.append((label, *[None] * len(scenario.columns), f"{type(exc).__name__}: {exc}"))
@@ -289,7 +296,7 @@ def cmd_analyze(params: dict) -> int:
 
 def _simulate(params: dict, ecdf: bool) -> tuple[mc.SimConfig, mc.SimStats]:
     """Simulate the run params describe; with ecdf, also bin D on the ds/max_s grid."""
-    d, model = _build_headway(params), _build_model(params)
+    d, model = _build_headway(params), _build_model(params, _ps_table(params))
     grid = (_get(params, "ds"), _get(params, "max_s")) if ecdf else None
     cfg = mc.SimConfig(d, model, _get(params, "trials"), _get(params, "seed"), grid)
     return cfg, mc.run(cfg, workers=_get(params, "workers"))
@@ -311,7 +318,7 @@ def cmd_simulate(params: dict) -> int:
 def cmd_compare(params: dict) -> int:
     scenario = _SCENARIOS[params["scenario"]]
     # either grid key asks for the CDF check; _simulate then requires both
-    want_cdf = scenario.has_cdf and any(params.get(k) is not None for k in ("ds", "max_s"))
+    want_cdf = any(params.get(k) is not None for k in ("ds", "max_s"))
     cfg, stats = _simulate(params, ecdf=want_cdf)
 
     d, model = cfg.headway, cfg.model
@@ -348,8 +355,9 @@ def cmd_compare(params: dict) -> int:
 
 def cmd_cdf(params: dict) -> int:
     scenario = params["scenario"]
-    if not _SCENARIOS[scenario].has_cdf:
-        raise ValidationError(f"the cdf command has no solver for the {scenario} scenario")
+    if params.get("printed_form") and scenario != "contention":
+        raise ValidationError(
+            f"--printed-form is the contention recursion; the {scenario} scenario has none")
     cfg, stats = _simulate(params, ecdf=True)
     ds, max_s = cfg.ecdf_grid
     curve = analytic.cdf(cfg.headway, cfg.model, ds, max_s)
@@ -375,7 +383,7 @@ _COMMANDS = {
     "compare": (cmd_compare, "closed forms vs simulation", {}),
     "cdf": (cmd_cdf, "distance CDF curve vs simulated ECDF",
             {"--printed-form": {"action": "store_true",
-                                "help": "add the uncorrected printed recursion as a column"}}),
+                                "help": "add the printed contention recursion as a column"}}),
 }
 
 

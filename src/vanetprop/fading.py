@@ -8,7 +8,8 @@ hop succeeds with probability
 
 and the per-hop failure probability is F_P = E[1 - p_s(H)]. Only this
 hop kernel differs from contention: `FadingModel` supplies its hop law
-to the compound-geometric core in `analytic`, and the functions here
+to the compound-geometric core in `analytic`, and its hop kernel
+f_H p on [0, max_s] to the CDF solver `analytic.cdf`; the functions here
 are that core under fading names.
 
 As with the contention model, the printed variance identity
@@ -29,7 +30,7 @@ from . import analytic
 from .analytic import _renewal
 from .errors import ValidationError
 from .headway import HeadwayDistribution
-from .quad import integrate_semi_infinite
+from .quad import integrate, integrate_semi_infinite
 
 __all__ = [
     "FadingModel",
@@ -93,6 +94,14 @@ class FadingModel:
 
         return 1.0 - fail, fail, moment(1), moment(2)
 
+    def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
+        """f_H p on [0, max_s]: (p(0) = 1, shape p, upper max_s, mass E[p(H); H <= max_s]
+        as a callable). No range cutoff, so no range-relative grid check."""
+        def p(tau):
+            return np.exp(-self.decay * (tau / self.ref_distance) ** self.path_loss_exp)
+
+        return 1.0, p, max_s, lambda: _expect(d, p, max_s)
+
     def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Simulated hop outcomes: uniform draw u below p_s(tau)."""
         # (tau/d0)^alpha is 0 at tau = 0, so a zero gap succeeds (limit p_s -> 1)
@@ -106,12 +115,15 @@ def success_prob(f: FadingModel, tau: float) -> float:
     return math.exp(-f.decay * (tau / f.ref_distance) ** f.path_loss_exp)
 
 
-def _expect(d: HeadwayDistribution, g: Callable[[float], float]) -> float:
-    """E[g(H)]: exact atom sums for atomic families, else adaptive quadrature."""
+def _expect(d: HeadwayDistribution, g: Callable[[float], float],
+            upper: float = math.inf) -> float:
+    """E[g(H); H <= upper]: exact atom sums for atomic families, else adaptive quadrature."""
     at = d.atoms()
     if at is not None:
         values, weights = at
-        return float(sum(w * g(float(v)) for v, w in zip(values, weights)))
+        return float(sum(w * g(float(v)) for v, w in zip(values, weights) if v <= upper))
+    if upper < math.inf:
+        return integrate(lambda t: d.pdf(t) * g(t), 0.0, upper, rel_tol=_REL_TOL).value
     return integrate_semi_infinite(lambda t: d.pdf(t) * g(t), 0.0, rel_tol=_REL_TOL).value
 
 

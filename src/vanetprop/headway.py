@@ -33,7 +33,8 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+    # erfc keeps relative precision in the lower tail, where 1 + erf(x) cancels
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def _check_order(order: int) -> None:
@@ -51,7 +52,7 @@ class HeadwayDistribution(ABC):
 
     @abstractmethod
     def pdf(self, x: float) -> float:
-        """Density f_H(x); 0 outside the support."""
+        """Density f_H(x); 0 outside the support. Atomic laws have none and raise."""
 
     @abstractmethod
     def cdf(self, x: float) -> float:
@@ -75,9 +76,7 @@ class HeadwayDistribution(ABC):
         """(values, weights) when H is purely atomic, else None."""
         return None
 
-    # False for a point mass, which has no pointwise density. The CDF solver
-    # goes by atoms() instead, so resampled data is never convolved against
-    # its histogram estimate.
+    # False for atomic laws, whose pdf raises; only bench/tracer.py reads it
     has_density: bool = True
 
     def truncated_moment(self, order: int, upper: float) -> float:
@@ -264,10 +263,7 @@ class DeterministicHeadway(HeadwayDistribution):
             raise ValidationError(f"spacing must be finite and >= 0, got {self.spacing!r}")
 
     def pdf(self, x: float) -> float:
-        if x < 0:
-            raise ValidationError(f"density argument must be >= 0, got {x!r}")
-        # no density exists; the atom is reported as an infinite spike
-        return math.inf if x == self.spacing else 0.0
+        raise ValidationError("a point mass has no density; use atoms()")
 
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.spacing else 0.0
@@ -296,14 +292,12 @@ class DeterministicHeadway(HeadwayDistribution):
 class EmpiricalHeadway(HeadwayDistribution):
     """Resampling law of an observed headway data set.
 
-    cdf is the ECDF and sampling draws with replacement, both exact.
-    A pointwise density exists only as an estimate; the Freedman-Diaconis
-    histogram is used because it is deterministic, documented and testable.
-    No solver consumes it: the CDF solver and the fading integrals use the
-    atoms.
+    cdf is the ECDF and sampling draws with replacement, both exact. The
+    law is atomic: the CDF solver and the fading integrals use atoms().
     """
 
     samples: np.ndarray
+    has_density = False
 
     def __post_init__(self):
         data = np.asarray(self.samples, dtype=float)
@@ -320,25 +314,13 @@ class EmpiricalHeadway(HeadwayDistribution):
         # prefix sums make truncated moments O(log n)
         object.__setattr__(self, "_csum1", np.cumsum(data))
         object.__setattr__(self, "_csum2", np.cumsum(data * data))
-        edges = np.histogram_bin_edges(data, bins="fd")
-        counts, _ = np.histogram(data, bins=edges)
-        widths = np.diff(edges)
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_density", counts / (data.size * widths))
 
     @classmethod
     def from_samples(cls, data) -> "EmpiricalHeadway":
         return cls(np.asarray(data, dtype=float))
 
     def pdf(self, x: float) -> float:
-        if x < 0:
-            raise ValidationError(f"density argument must be >= 0, got {x!r}")
-        edges = self._edges
-        if x < edges[0] or x > edges[-1]:
-            return 0.0
-        i = int(np.searchsorted(edges, x, side="right")) - 1
-        i = min(i, len(self._density) - 1)  # x at the last edge belongs to the last bin
-        return float(self._density[i])
+        raise ValidationError("resampled data has no density; use atoms()")
 
     def cdf(self, x: float) -> float:
         return float(np.searchsorted(self.samples, x, side="right")) / self.samples.size

@@ -6,10 +6,11 @@ and the panel with the largest error is split until the summed error
 drops below max(rel_tol * |value|, 1e-14). Semi-infinite integrals are
 mapped to [0, 1) with tau = a + t/(1-t).
 
-The CDF solvers live in `analytic`; `_march` solves their renewal
-equation on a uniform grid as a causal convolution with fixed lag
-weights: trapezoid weights of f_H (implicit in the tau = 0 endpoint), or
-two interpolating lags per atom for atomic laws. Blocks of B grid points are
+The CDF solver lives in `analytic`; `_march` solves its renewal
+equation on a uniform grid as a causal convolution with the lag weights
+of the hop kernel f_H p = p(0) f_H shape: trapezoid weights of
+f_H * shape (implicit in the tau = 0 endpoint), or two interpolating
+lags per atom, weighted by shape(atom), for atomic laws. Blocks of B grid points are
 solved together, after Hairer, Lubich & Schlichte (SIAM J. Sci. Stat.
 Comput. 6(3), 1985): a block's history is one FFT convolution with the
 solved prefix, the block itself the inverse of its lower-triangular
@@ -236,31 +237,33 @@ def _snap_index(pos):
     return np.where(up, i + 1.0, i).astype(np.intp), np.where(up | (frac < 1e-9), 0.0, frac)
 
 
-def _density_kernel(headway, coef: float, step: float, upper: float):
-    """Trapezoid lag weights w of f_H on [0, upper], and row corrections dw.
-
-    Row j weighs F_0 by w[j] + dw[j]: the endpoint tau = s_j is halved
-    while s_j <= upper. The partial panel [K*step, upper] interpolates
-    F_D(s - upper) between lags K and K+1.
+def _lag_weights(headway, shape, mass, coef: float, step: float, upper: float):
+    """Lag weights w of the hop kernel coef * f_H * shape on [0, upper], and row
+    corrections dw; mass() is the integral of f_H * shape there. An atomic law
+    goes by `_atom_kernel`; for a density, row j weighs F_0 by w[j] + dw[j], the
+    endpoint tau = s_j halved while s_j <= upper, and the partial panel
+    [K*step, upper] interpolates F_D(s - upper) between lags K and K+1.
     """
+    if headway.atoms() is not None:
+        return _atom_kernel(headway, shape, coef, step, upper)
     K, r = _snap_index(upper / step)
     K, r = int(K), float(r)
-    fvals = np.array([headway.pdf(i * step) for i in range(K + 1)])
-    f_up = headway.pdf(upper)
-    # Normalize the discrete kernel mass to F_H(upper). The marching fixed
-    # point is (1-q)/(1 - coef*mass); with raw trapezoid weights the mass
-    # misses F_H(upper) by O(step^2) and the solved curve settles slightly
-    # off 1. Rescaling removes that bias without changing the scheme order.
-    mass = step * (0.5 * fvals[0] + float(fvals[1:K].sum()) + 0.5 * fvals[K])
+    lags = np.arange(K + 1) * step
+    fvals = np.array([headway.pdf(t) for t in lags.tolist()]) * shape(lags)
+    f_up = headway.pdf(upper) * shape(upper)
+    # Normalize the trapezoid mass to the exact one. The marching fixed point
+    # is (1-q)/(1 - coef*mass); raw trapezoid weights miss the mass by O(step^2),
+    # so the curve would settle slightly off 1. Rescaling keeps the order.
+    trap = step * (0.5 * fvals[0] + float(fvals[1:K].sum()) + 0.5 * fvals[K])
     if r > 0.0:
-        mass += 0.5 * r * step * (fvals[K] + f_up)
-    target = headway.cdf(upper)
-    if mass > 0.0 and target > 0.0:
-        scale = target / mass
+        trap += 0.5 * r * step * (fvals[K] + f_up)
+    exact = mass()
+    if trap > 0.0 and exact > 0.0:
+        scale = exact / trap
         if not 0.5 <= scale <= 2.0:
             raise NumericError(
-                f"kernel mass {mass!r} vs F_H({upper!r}) = {target!r}: "
-                "grid_step too coarse to resolve the headway density"
+                f"kernel mass {trap!r} vs its integral {exact!r} on [0, {upper!r}]: "
+                "grid_step too coarse to resolve the hop kernel"
             )
         fvals = fvals * scale
         f_up *= scale
@@ -275,15 +278,15 @@ def _density_kernel(headway, coef: float, step: float, upper: float):
     return w, np.append(-0.5 * w[:K], [-tail, 0.0])
 
 
-def _atom_kernel(headway, coef: float, step: float, upper: float):
-    """Lag weights of the atoms h = (m + phi)*step <= upper: (1-phi) on lag
-    m and phi on lag m+1, interpolating F_D between grid points. Row m
-    drops the lag-m share (dw) where phi > 0, since then h > s_m.
+def _atom_kernel(headway, shape, coef: float, step: float, upper: float):
+    """Lag weights of the atoms h = (m + phi)*step <= upper, weighted by shape(h):
+    (1-phi) on lag m and phi on lag m+1, interpolating F_D between grid points.
+    Row m drops the lag-m share (dw) where phi > 0, since then h > s_m.
     """
     values, weights = headway.atoms()
     keep = values <= upper + 1e-12 * np.maximum(1.0, values)
     m, phi = _snap_index(values[keep] / step)
-    wt = weights[keep]
+    wt = weights[keep] * shape(values[keep])
     w = np.zeros(int(m.max(initial=0)) + 2)
     np.add.at(w, m, (1.0 - phi) * wt)
     np.add.at(w, m + 1, phi * wt)
@@ -296,10 +299,9 @@ def _atom_kernel(headway, coef: float, step: float, upper: float):
     return w, dw
 
 
-def _march(headway, coef: float, const: np.ndarray, step: float, upper: float,
-           clamp: bool = False) -> np.ndarray:
+def _march(w, dw, coef: float, const: np.ndarray, clamp: bool = False) -> np.ndarray:
     """Solve F_j = const_j + coef * (sum_i w_i F_{j-i} + dw_j F_0) for j >= 1,
-    F_0 = const_0, with the lag weights of H on [0, upper]; lag 0 is implicit.
+    F_0 = const_0, with the lag weights w of `_lag_weights`; lag 0 is implicit.
 
     Blocks of _BLOCK grid points are solved together: the history from the
     solved prefix is one FFT convolution, and the block applies the inverse
@@ -310,9 +312,6 @@ def _march(headway, coef: float, const: np.ndarray, step: float, upper: float,
     """
     from numpy import fft  # loaded on the first solve, not at import
 
-    # an atomic law is solved against its atoms, never a density estimate
-    kernel = _atom_kernel if headway.atoms() is not None else _density_kernel
-    w, dw = kernel(headway, coef, step, upper)
     n, k = const.size, w.size - 1
     denom = 1.0 - coef * w[0]
     a = (coef / denom) * w

@@ -1,10 +1,12 @@
 """Command line interface: subcommands, config handling, exit codes."""
 
 import argparse
+import json
 import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from vanetprop import (
 from vanetprop.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+BENCH = CONFIGS.parent / "bench"
 EXP_ARGS = ["--headway", "exponential", "--rate", "0.2",
             "--ps", "0.9", "--range", "100"]
 
@@ -273,13 +276,25 @@ def test_compare_with_half_a_cdf_grid_names_the_missing_key(tmp_path, capsys, gi
     assert not out.exists()
 
 
-def test_compare_fading_ignores_the_cdf_grid(tmp_path):
-    # no CDF solver for fading yet, so a grid key asks for no check
+@pytest.mark.parametrize("given, missing", [("--ds", "max_s"), ("--max-s", "ds")])
+def test_compare_fading_with_half_a_cdf_grid_names_the_missing_key(tmp_path, capsys,
+                                                                   given, missing):
     out = tmp_path / "f.csv"
-    code = main(["compare", "--config", str(CONFIGS / "fading.cfg"), "--trials", "20000",
-                 "--ds", "1", "--out", str(out)])
+    code = main(["compare", "--config", str(CONFIGS / "fading.cfg"), "--trials", "1000",
+                 given, "1", "--out", str(out)])
+    assert code == 2
+    assert f"missing required parameter {missing!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_fading_with_a_cdf_grid_checks_the_curve(tmp_path):
+    out = tmp_path / "f.csv"
+    code = main(["compare", "--config", str(CONFIGS / "fading.cfg"), "--trials", "100000",
+                 "--seed", "4", "--ds", "0.5", "--max-s", "200", "--out", str(out)])
     assert code == 0
-    assert "cdf_supnorm" not in out.read_text()
+    _, _, rows, _ = parse(out)
+    status = {r[0]: r[-1] for r in rows}
+    assert status["cdf_supnorm"] == "pass"
 
 
 def test_compare_zero_success_probability(tmp_path):
@@ -363,12 +378,25 @@ def test_cdf_rejects_short_grid(tmp_path):
     assert code == 2
 
 
-def test_cdf_rejects_fading_scenario(tmp_path):
-    code = main(["cdf", "--scenario", "fading", "--headway", "exponential",
-                 "--rate", "0.2", "--pt", "1", "--gain", "1", "--d0", "1",
-                 "--alpha", "1", "--pth", "0.05", "--ds", "1", "--max-s", "100",
-                 "--trials", "100", "--out", str(tmp_path / "x.csv")])
+def test_cdf_solves_the_fading_scenario(tmp_path):
+    out = tmp_path / "f.csv"
+    code = main(["cdf", "--config", str(CONFIGS / "fading.cfg"), "--ds", "0.1",
+                 "--max-s", "300", "--trials", "200000", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    _, header, rows, footer = parse(out)
+    assert header == ["s", "F_D_analytic", "F_D_ecdf", "abs_diff"]
+    assert len(rows) == 3001
+    assert float(rows[0][1]) == pytest.approx(0.2, abs=1e-12)  # F_D(0) = F_P
+    assert float(footer[0].split("=")[1]) < 0.01
+
+
+def test_cdf_printed_form_needs_the_contention_scenario(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    code = main(["cdf", "--config", str(CONFIGS / "fading.cfg"), "--ds", "1",
+                 "--max-s", "100", "--trials", "100", "--printed-form", "--out", str(out)])
     assert code == 2
+    assert "--printed-form is the contention recursion" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------- config and tables
@@ -519,6 +547,27 @@ def test_ps_table_interpolation(tmp_path):
     assert float(rows[0][1]) == mean_distance(d, ContentionModel(p_s, 100.0))
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--sweep", "load", "10", "90", "50"],
+    ["analyze", "--load", "25", "--sweep", "rate", "0.1", "1", "50"],
+    ["compare", "--load", "25", "--trials", "1000"],
+])
+def test_ps_table_is_read_once_per_command(tmp_path, monkeypatch, command):
+    table = tmp_path / "ps.csv"
+    table.write_text("0.0,0.1\n100.0,0.9\n")
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code = main([*command, "--headway", "exponential", "--rate", "0.2", "--range", "100",
+                 "--ps-table", str(table), "--out", str(tmp_path / "o.csv")])
+    assert code == 0
+    assert opened.count(str(table)) == 1
+
+
 def test_ps_table_validation(tmp_path):
     bad_order = tmp_path / "a.csv"
     bad_order.write_text("50.0,0.5\n50.0,0.6\n")
@@ -594,3 +643,32 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "mu_D" in out.read_text()
+
+
+def test_bench_tracer_wraps_both_cdf_scenarios(tmp_path):
+    # the benchmark's --trace 1 wraps cli, analytic and solver functions by
+    # name; a traced cdf op of each scenario must still run through them
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {str(BENCH)!r})
+        from tracer import Tracer
+        from vanetprop import cli
+        tracer = Tracer()
+        tracer.install()
+        main = tracer.timed(cli.main, "cli.main")
+        short = ["--trials", "2000", "--seed", "1"]
+        codes = [
+            main(["cdf", "--config", {str(CONFIGS / "contention.cfg")!r}, "--ds", "1",
+                  "--max-s", "300", "--printed-form", *short,
+                  "--out", {str(tmp_path / "c.csv")!r}]),
+            main(["cdf", "--config", {str(CONFIGS / "fading.cfg")!r}, "--ds", "0.5",
+                  "--max-s", "200", *short, "--out", {str(tmp_path / "f.csv")!r}]),
+        ]
+        spans = sorted({{span[0] for span in tracer.dump()["spans"]}})
+        print(json.dumps({{"codes": codes, "spans": spans}}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    assert {"cli.main", "analytic.cdf", "quad.solve_printed_cdf"} <= set(result["spans"])

@@ -12,14 +12,17 @@ from vanetprop import (
     DeterministicHeadway,
     EmpiricalHeadway,
     ExponentialHeadway,
+    FadingModel,
     LognormalHeadway,
     NumericError,
     SimConfig,
     UniformHeadway,
     ValidationError,
+    cdf,
     run,
     solve_printed_cdf,
     solve_renewal_cdf,
+    success_prob,
 )
 from vanetprop.quad import (
     MONOTONICITY_TOL,
@@ -146,20 +149,22 @@ def test_solver_deterministic_step_law():
     assert curve.values[11] == curve.values[19]
 
 
-def _panjer_cdf(gaps, p_s, max_range, step, n):
+def _panjer_cdf(gaps, hop, step, n):
     """F_D at j * step, j < n, by Panjer's recursion (1981) for a geometric count.
 
-    The accepted hop puts t_i = p_s P(H = i step, H <= L) on lattice point
-    i; then g_0 = 1 - q, g_k = sum_{i=1..k} t_i g_{k-i} and F_D = cumsum(g).
-    Every gap must sit on the lattice.
+    `hop` gives each gap's success probability p(h). The accepted hop puts
+    t_i = P(H = i step) p(i step) on lattice point i; then g_0 = 1 - q,
+    g_k = sum_{i=1..k} t_i g_{k-i} and F_D = cumsum(g). Every gap must sit
+    on the lattice.
     """
     gaps = np.asarray(gaps, dtype=float)
     idx = np.rint(gaps / step).astype(int)
     assert np.all(idx * step == gaps)
+    accept = np.array([hop(h) for h in gaps.tolist()]) / gaps.size
     t = np.zeros(n)
-    np.add.at(t, idx[gaps <= max_range], p_s / gaps.size)
+    np.add.at(t, idx[idx < n], accept[idx < n])
     g = np.zeros(n)
-    g[0] = 1.0 - t.sum()
+    g[0] = 1.0 - accept.sum()
     for k in range(1, n):
         g[k] = np.dot(t[1:k + 1], g[k - 1::-1])
     return np.cumsum(g)
@@ -172,7 +177,25 @@ def _panjer_cdf(gaps, p_s, max_range, step, n):
 ])
 def test_solver_matches_panjer_lattice_oracle(d, gaps, step):
     curve = solve_renewal_cdf(d, 0.9, 100.0, step, 300.0)
-    oracle = _panjer_cdf(gaps, 0.9, 100.0, step, curve.values.size)
+    oracle = _panjer_cdf(gaps, lambda h: 0.9 if h <= 100.0 else 0.0, step, curve.values.size)
+    assert float(np.max(np.abs(curve.values - oracle))) <= 1e-12
+
+
+def fading(alpha, d0=15.0):
+    """p(tau) = exp(-(tau/d0)^alpha): P_th = P_t = K = 1."""
+    return FadingModel(tx_power=1.0, gain_const=1.0, ref_distance=d0,
+                       path_loss_exp=alpha, power_threshold=1.0)
+
+
+@pytest.mark.parametrize("d, gaps, step", [
+    (DeterministicHeadway(spacing=5.0), [5.0], 1.0),
+    (EmpiricalHeadway.from_samples(SIX_GAPS), SIX_GAPS, 0.5),
+])
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 6.0])
+def test_fading_solve_matches_panjer_lattice_oracle(d, gaps, step, alpha):
+    f = fading(alpha)
+    curve = cdf(d, f, step, 300.0)
+    oracle = _panjer_cdf(gaps, lambda h: success_prob(f, h), step, curve.values.size)
     assert float(np.max(np.abs(curve.values - oracle))) <= 1e-12
 
 
@@ -449,4 +472,15 @@ def test_small_empirical_data_set_is_solved_against_its_atoms():
     model = ContentionModel(p_s=0.9, max_range=100.0)
     sim = run(SimConfig(d, model, trials=400_000, seed=11, ecdf_grid=(0.5, 300.0)))
     curve = solve_renewal_cdf(d, 0.9, 100.0, 0.5, 300.0)
+    assert float(np.max(np.abs(curve.values - sim.ecdf.values))) < 0.01
+
+
+@pytest.mark.parametrize("d", ORACLE_FAMILIES[:3] + [
+    DeterministicHeadway(spacing=10.0), EmpiricalHeadway.from_samples(SIX_GAPS)], ids=repr)
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 6.0])
+def test_fading_cdf_matches_the_simulated_ecdf(d, alpha):
+    # the same solver as contention, fed the fading kernel f_H(t) p(t) on [0, max_s]
+    f = fading(alpha)
+    sim = run(SimConfig(d, f, trials=100_000, seed=7, ecdf_grid=(0.5, 400.0)))
+    curve = cdf(d, f, 0.5, 400.0)
     assert float(np.max(np.abs(curve.values - sim.ecdf.values))) < 0.01
