@@ -225,10 +225,10 @@ def solve_printed_cdf(headway, p_s: float, max_range: float,
     m = ContentionModel(p_s, max_range)
     fail, n, (_, shape, upper, mass) = _solver_setup(headway, m, grid_step, max_s)
     K = min(int(_snap_index(max_range / grid_step)[0]), n - 1)
-    const = np.full(n, 1.0 - headway.cdf(max_range))
+    F_H = headway.cdf(np.append(np.arange(1, K + 1) * grid_step, max_range))
+    const = np.full(n, 1.0 - F_H[-1])
     const[0] = fail
-    const[1:K + 1] = [fail - (1.0 + p_s) * headway.cdf(j * grid_step)
-                      for j in range(1, K + 1)]
+    const[1:K + 1] = fail - (1.0 + p_s) * F_H[:-1]
     # same lag weights as the corrected solver; only the constant term
     # and the missing p_s factor on the integral differ
     w, dw = _lag_weights(headway, shape, mass, 1.0, grid_step, upper)
@@ -256,12 +256,13 @@ def distance_stats(d: HeadwayDistribution, m: ContentionModel) -> DistanceStats:
     mu = d.mean()
     gap = L - mu
     bracket = 0.5 * (math.sqrt(d.variance() + gap * gap) - gap)
-    tail = 1.0 - d.cdf(L)
+    F_L = d.cdf(L)
+    tail = 1.0 - F_L
     var_lower = r.mean * r.mean * p_s * tail / r.fail
     return DistanceStats(
         mean=r.mean,
         mean_lower=max(0.0, (p_s * mu - bracket) / r.fail),
-        mean_upper=p_s * (mu - L + L * d.cdf(L)) / r.fail,
+        mean_upper=p_s * (mu - L + L * F_L) / r.fail,
         var_paper=r.second + r.mean * r.mean * (p_s * tail / r.fail),
         var_renewal=r.var_renewal,
         var_lower=var_lower,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -284,7 +285,12 @@ def cmd_analyze(params: dict) -> int:
             if d is None or name in _headway_keys(params):
                 d = _build_headway(point)
             st = scenario.stats(d, _build_model(point, table))
-            rows.append((label, *vars(st).values(), None))  # fields in definition order
+            values = vars(st).values()  # fields in definition order
+            bad = [f"{k} = {v!r}" for k, v in zip(scenario.columns, values)
+                   if not math.isfinite(v)]
+            if bad:
+                raise NumericError(f"non-finite closed form: {', '.join(bad)}")
+            rows.append((label, *values, None))
         except (ValidationError, DegenerateProcessError, NumericError) as exc:
             rows.append((label, *[None] * len(scenario.columns), f"{type(exc).__name__}: {exc}"))
             if code == EXIT_OK:
@@ -294,17 +300,16 @@ def cmd_analyze(params: dict) -> int:
     return code
 
 
-def _simulate(params: dict, ecdf: bool) -> tuple[mc.SimConfig, mc.SimStats]:
-    """Simulate the run params describe; with ecdf, also bin D on the ds/max_s grid."""
+def _sim_config(params: dict, ecdf: bool) -> mc.SimConfig:
+    """The run params describe; with ecdf, D is also binned on the ds/max_s grid."""
     d, model = _build_headway(params), _build_model(params, _ps_table(params))
     grid = (_get(params, "ds"), _get(params, "max_s")) if ecdf else None
-    cfg = mc.SimConfig(d, model, _get(params, "trials"), _get(params, "seed"), grid)
-    return cfg, mc.run(cfg, workers=_get(params, "workers"))
+    return mc.SimConfig(d, model, _get(params, "trials"), _get(params, "seed"), grid)
 
 
 def cmd_simulate(params: dict) -> int:
     ecdf_out = params.get("ecdf_out")
-    _, stats = _simulate(params, ecdf=bool(ecdf_out))
+    stats = mc.run(_sim_config(params, ecdf=bool(ecdf_out)), workers=_get(params, "workers"))
     header = ["trials", "mean_D", "ci95_mean_D", "var_D", "ci95_var_D",
               "mean_N", "ci95_mean_N", "zero_fraction"]  # SimStats fields
     meta = _meta_lines("simulate", params)
@@ -317,11 +322,14 @@ def cmd_simulate(params: dict) -> int:
 
 def cmd_compare(params: dict) -> int:
     scenario = _SCENARIOS[params["scenario"]]
-    # either grid key asks for the CDF check; _simulate then requires both
+    # either grid key asks for the CDF check; _sim_config then requires both
     want_cdf = any(params.get(k) is not None for k in ("ds", "max_s"))
-    cfg, stats = _simulate(params, ecdf=want_cdf)
-
+    cfg = _sim_config(params, ecdf=want_cdf)
     d, model = cfg.headway, cfg.model
+    if want_cdf:  # the solver's checks first: a grid it rejects costs no simulation
+        analytic._solver_setup(d, model, *cfg.ecdf_grid)
+    stats = mc.run(cfg, workers=_get(params, "workers"))
+
     checks = [  # (metric label, report, required)
         ("mean_D", mc.compare(analytic.mean_distance(d, model), stats, "mean_D"), True),
         ("var_D_renewal", mc.compare(analytic.variance_renewal(d, model), stats, "var_D"),
@@ -358,8 +366,11 @@ def cmd_cdf(params: dict) -> int:
     if params.get("printed_form") and scenario != "contention":
         raise ValidationError(
             f"--printed-form is the contention recursion; the {scenario} scenario has none")
-    cfg, stats = _simulate(params, ecdf=True)
+    cfg = _sim_config(params, ecdf=True)
     ds, max_s = cfg.ecdf_grid
+    # the solver's checks first: a grid it rejects costs no simulation
+    analytic._solver_setup(cfg.headway, cfg.model, ds, max_s)
+    stats = mc.run(cfg, workers=_get(params, "workers"))
     curve = analytic.cdf(cfg.headway, cfg.model, ds, max_s)
     header = ["s", "F_D_analytic", "F_D_ecdf", "abs_diff"]
     diff = np.abs(curve.values - stats.ecdf.values)

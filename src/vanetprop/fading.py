@@ -81,31 +81,34 @@ class FadingModel:
         """c = P_th / (P_t K); p_s(tau) = exp(-c (tau/d0)^alpha)."""
         return self.power_threshold / (self.tx_power * self.gain_const)
 
+    def _exponent(self, tau: np.ndarray) -> np.ndarray:
+        """c (tau/d0)^alpha, so that p_s(tau) = exp(-exponent)."""
+        return self.decay * (tau / self.ref_distance) ** self.path_loss_exp
+
     def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
-        """(1 - F_P, F_P, E[H p_s(H)], E[H^2 p_s(H)]): three expectations under d."""
-        c, d0, alpha = self.decay, self.ref_distance, self.path_loss_exp
-        # 1 - exp(-x) via expm1: the naive form loses all precision for the
-        # near-transparent channels the consistency checks use
-        fail = _expect(d, lambda t: -math.expm1(-c * (t / d0) ** alpha) if t > 0 else 0.0)
+        """(1 - F_P, F_P, E[H p_s(H)], E[H^2 p_s(H)]): one stacked expectation under d."""
+        def stack(t):
+            x = self._exponent(t)
+            p = np.exp(-x)
+            # 1 - exp(-x) via expm1: the naive form loses all precision for the
+            # near-transparent channels the consistency checks use
+            return np.array((-np.expm1(-x), t * p, t * t * p))
 
-        def moment(k):
-            return _expect(d, lambda t: (t ** k) * math.exp(-c * (t / d0) ** alpha)
-                           if t > 0 else 0.0)
-
-        return 1.0 - fail, fail, moment(1), moment(2)
+        fail, m1, m2 = _expect(d, stack).tolist()
+        return 1.0 - fail, fail, m1, m2
 
     def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
         """f_H p on [0, max_s]: (p(0) = 1, shape p, upper max_s, mass E[p(H); H <= max_s]
         as a callable). No range cutoff, so no range-relative grid check."""
         def p(tau):
-            return np.exp(-self.decay * (tau / self.ref_distance) ** self.path_loss_exp)
+            return np.exp(-self._exponent(tau))
 
-        return 1.0, p, max_s, lambda: _expect(d, p, max_s)
+        return 1.0, p, max_s, lambda: float(_expect(d, p, max_s))
 
     def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Simulated hop outcomes: uniform draw u below p_s(tau)."""
         # (tau/d0)^alpha is 0 at tau = 0, so a zero gap succeeds (limit p_s -> 1)
-        return u < np.exp(-self.decay * (tau / self.ref_distance) ** self.path_loss_exp)
+        return u < np.exp(-self._exponent(tau))
 
 
 def success_prob(f: FadingModel, tau: float) -> float:
@@ -115,16 +118,23 @@ def success_prob(f: FadingModel, tau: float) -> float:
     return math.exp(-f.decay * (tau / f.ref_distance) ** f.path_loss_exp)
 
 
-def _expect(d: HeadwayDistribution, g: Callable[[float], float],
-            upper: float = math.inf) -> float:
-    """E[g(H); H <= upper]: exact atom sums for atomic families, else adaptive quadrature."""
+def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],
+            upper: float = math.inf):
+    """E[g(H); H <= upper] for g mapping an array of gaps to values (a float
+    result), or to an (m, gaps) stack (an (m,) array): one weighted sum over the
+    atoms of an atomic family, else one adaptive quadrature of the whole stack."""
     at = d.atoms()
     if at is not None:
         values, weights = at
-        return float(sum(w * g(float(v)) for v, w in zip(values, weights) if v <= upper))
+        keep = values <= upper
+        return g(values[keep]) @ weights[keep]
+
+    def f(t):
+        return d.pdf(t) * g(t)
+
     if upper < math.inf:
-        return integrate(lambda t: d.pdf(t) * g(t), 0.0, upper, rel_tol=_REL_TOL).value
-    return integrate_semi_infinite(lambda t: d.pdf(t) * g(t), 0.0, rel_tol=_REL_TOL).value
+        return integrate(f, 0.0, upper, rel_tol=_REL_TOL).value
+    return integrate_semi_infinite(f, 0.0, rel_tol=_REL_TOL).value
 
 
 def hop_failure_prob(f: FadingModel, d: HeadwayDistribution) -> float:

@@ -37,6 +37,24 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
+def _args(x) -> np.ndarray:
+    """x as a float array: pdf and cdf take a scalar or an ndarray of any shape."""
+    return np.asarray(x, dtype=float)
+
+
+def _like(y: np.ndarray):
+    """A result shaped like the argument: a float for a scalar argument."""
+    return float(y) if y.ndim == 0 else y
+
+
+def _density_args(x) -> np.ndarray:
+    x = _args(x)
+    if (x < 0).any():
+        raise ValidationError(
+            f"density argument must be >= 0, got {float(x[x < 0].flat[0])!r}")
+    return x
+
+
 def _check_order(order: int) -> None:
     if order not in (1, 2):
         raise UnsupportedOrderError(f"truncated moment order must be 1 or 2, got {order!r}")
@@ -51,12 +69,14 @@ class HeadwayDistribution(ABC):
     """Interface every headway family implements."""
 
     @abstractmethod
-    def pdf(self, x: float) -> float:
-        """Density f_H(x); 0 outside the support. Atomic laws have none and raise."""
+    def pdf(self, x):
+        """Density f_H(x) for x >= 0, elementwise over an ndarray x (a float for a
+        scalar x); 0 outside the support. Atomic laws have none and raise."""
 
     @abstractmethod
-    def cdf(self, x: float) -> float:
-        """F_H(x) = P(H <= x), right-continuous."""
+    def cdf(self, x):
+        """F_H(x) = P(H <= x), right-continuous; elementwise over an ndarray x,
+        a float for a scalar x."""
 
     @abstractmethod
     def mean(self) -> float:
@@ -102,16 +122,12 @@ class ExponentialHeadway(HeadwayDistribution):
         if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate)) or self.rate <= 0:
             raise ValidationError(f"rate must be finite and > 0, got {self.rate!r}")
 
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            raise ValidationError(f"density argument must be >= 0, got {x!r}")
-        return self.rate * math.exp(-self.rate * x)
+    def pdf(self, x):
+        return _like(self.rate * np.exp(-self.rate * _density_args(x)))
 
-    def cdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
+    def cdf(self, x):
         # -expm1 keeps full precision where 1 - exp(-rate*x) would round to 1
-        return -math.expm1(-self.rate * x)
+        return _like(-np.expm1(-self.rate * np.maximum(_args(x), 0.0)))
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -157,19 +173,14 @@ class UniformHeadway(HeadwayDistribution):
                 f"need 0 <= low < high, got low={self.low!r} high={self.high!r}"
             )
 
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            raise ValidationError(f"density argument must be >= 0, got {x!r}")
-        if self.low <= x <= self.high:
-            return 1.0 / (self.high - self.low)
-        return 0.0
+    def pdf(self, x):
+        x = _density_args(x)
+        return _like(np.where((self.low <= x) & (x <= self.high),
+                              1.0 / (self.high - self.low), 0.0))
 
-    def cdf(self, x: float) -> float:
-        if x < self.low:
-            return 0.0
-        if x >= self.high:
-            return 1.0
-        return (x - self.low) / (self.high - self.low)
+    def cdf(self, x):
+        x = _args(x)
+        return _like(np.minimum(np.maximum((x - self.low) / (self.high - self.low), 0.0), 1.0))
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
@@ -210,18 +221,20 @@ class LognormalHeadway(HeadwayDistribution):
                 f"need finite log_mean and log_sd > 0, got {self.log_mean!r}, {self.log_sd!r}"
             )
 
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            raise ValidationError(f"density argument must be >= 0, got {x!r}")
-        if x == 0:
-            return 0.0
-        z = (math.log(x) - self.log_mean) / self.log_sd
-        return math.exp(-0.5 * z * z) / (x * self.log_sd * math.sqrt(2.0 * math.pi))
+    def pdf(self, x):
+        x = _density_args(x)
+        pos = x > 0
+        safe = np.where(pos, x, 1.0)  # the density is 0 at x = 0; log(0) would warn
+        z = (np.log(safe) - self.log_mean) / self.log_sd
+        f = np.exp(-0.5 * z * z) / (safe * self.log_sd * math.sqrt(2.0 * math.pi))
+        return _like(np.where(pos, f, 0.0))
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return _norm_cdf((math.log(x) - self.log_mean) / self.log_sd)
+    def cdf(self, x):
+        x = _args(x)
+        m, s = self.log_mean, self.log_sd
+        # numpy has no erfc; math.erfc per element keeps the lower tail exact
+        F = [_norm_cdf((math.log(v) - m) / s) if v > 0 else 0.0 for v in x.ravel().tolist()]
+        return _like(np.array(F).reshape(x.shape))
 
     def mean(self) -> float:
         return math.exp(self.log_mean + 0.5 * self.log_sd ** 2)
@@ -262,11 +275,11 @@ class DeterministicHeadway(HeadwayDistribution):
                 or self.spacing < 0:
             raise ValidationError(f"spacing must be finite and >= 0, got {self.spacing!r}")
 
-    def pdf(self, x: float) -> float:
+    def pdf(self, x):
         raise ValidationError("a point mass has no density; use atoms()")
 
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.spacing else 0.0
+    def cdf(self, x):
+        return _like(np.where(_args(x) >= self.spacing, 1.0, 0.0))
 
     def mean(self) -> float:
         return self.spacing
@@ -319,11 +332,12 @@ class EmpiricalHeadway(HeadwayDistribution):
     def from_samples(cls, data) -> "EmpiricalHeadway":
         return cls(np.asarray(data, dtype=float))
 
-    def pdf(self, x: float) -> float:
+    def pdf(self, x):
         raise ValidationError("resampled data has no density; use atoms()")
 
-    def cdf(self, x: float) -> float:
-        return float(np.searchsorted(self.samples, x, side="right")) / self.samples.size
+    def cdf(self, x):
+        return _like(np.searchsorted(self.samples, _args(x), side="right")
+                     / self.samples.size)
 
     def mean(self) -> float:
         return float(np.mean(self.samples))

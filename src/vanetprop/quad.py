@@ -1,10 +1,17 @@
 """Adaptive quadrature and the convolution march under the CDF solvers.
 
-The integrator is a Gauss 7 / Kronrod 15 panel rule with worst-panel
-bisection: the Kronrod value is the estimate, |K15 - G7| the panel error,
-and the panel with the largest error is split until the summed error
-drops below max(rel_tol * |value|, 1e-14). Semi-infinite integrals are
-mapped to [0, 1) with tau = a + t/(1-t).
+The integrator is a Gauss 7 / Kronrod 15 panel rule refined level by
+level: the Kronrod value is the estimate and |K15 - G7| the panel error.
+The integrand maps a 1-D array of nodes to values, or to an (m, nodes)
+stack of m integrands, and each level evaluates every panel still being
+refined in one call. Component c stops once its summed error is at most
+max(rel_tol * |value_c|, 1e-14); until then, every panel whose error in
+any component exceeds an equal share, tolerance / panels, is bisected.
+(Shares by width would starve the tiny panels near t = 1 of a mapped
+heavy tail, whose rounding noise then never meets its share.) Starting
+from 32 equal panels saves the levels whose fixed numpy overhead would
+dominate. Semi-infinite integrals are mapped to [0, 1)
+with tau = a + t/(1-t).
 
 The CDF solver lives in `analytic`; `_march` solves its renewal
 equation on a uniform grid as a causal convolution with the lag weights
@@ -20,7 +27,6 @@ the O(n K) of a point-by-point march.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,9 +49,14 @@ MONOTONICITY_TOL = 1e-6
 # grid points the CDF march solves together
 _BLOCK = 256
 
-# Kronrod 15 abscissae (positive half) and weights; Gauss 7 is embedded at
-# the odd indices. Standard values, e.g. QUADPACK dqk15.
-_XK = (
+# equal panels the integrator starts from: one level costs numpy's fixed
+# overhead (~50 us) whatever its size, so a wider first level saves levels
+_START_PANELS = 32
+
+# Kronrod 15 abscissae (positive half) and weights, and the weights of the
+# embedded Gauss 7 rule (odd indices and the centre; 0 elsewhere). Standard
+# values, e.g. QUADPACK dqk15.
+_XK = np.array([
     0.991455371120813,
     0.949107912342759,
     0.864864423359769,
@@ -54,8 +65,8 @@ _XK = (
     0.405845151377397,
     0.207784955007898,
     0.0,
-)
-_WK = (
+])
+_WK = np.array([
     0.022935322010529,
     0.063092092629979,
     0.104790010322250,
@@ -64,58 +75,75 @@ _WK = (
     0.190350578064785,
     0.204432940075298,
     0.209482141084728,
-)
-_WG = (
+])
+_WG = np.array([
+    0.0,
     0.129484966168870,
+    0.0,
     0.279705391489277,
+    0.0,
     0.381830050505119,
+    0.0,
     0.417959183673469,
-)
+])
+# the 15 nodes on [-1, 1] in ascending order are -x_0..-x_6, 0, x_6..x_0;
+# as columns, so that row k of a level's nodes holds node k of every panel
+_HALF = [*range(7), *range(7, -1, -1)]
+_NODES = (np.where(np.arange(15) < 7, -1.0, 1.0) * _XK[_HALF])[:, None]
+_KRONROD = _WK[_HALF, None]
+_ERROR = (_WK - _WG)[_HALF, None]  # K15 - G7
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    abs_error_estimate: float
+    """value and abs_error_estimate are floats for one integrand, (m,) arrays
+    for a stack of m; evaluations counts integrand nodes."""
+
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
 
 
-def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Kronrod estimate and |K15 - G7| for one panel."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fk = 0.0
-    fg = 0.0
-    for i, x in enumerate(_XK):
-        if x == 0.0:
-            y = f(c)
-            if not math.isfinite(y):
-                raise NumericError(f"integrand returned non-finite value at x={c!r}")
-            fk += _WK[i] * y
-            fg += _WG[3] * y
-            continue
-        y1 = f(c - h * x)
-        y2 = f(c + h * x)
-        if not (math.isfinite(y1) and math.isfinite(y2)):
-            bad = c - h * x if not math.isfinite(y1) else c + h * x
-            raise NumericError(f"integrand returned non-finite value at x={bad!r}")
-        fk += _WK[i] * (y1 + y2)
-        if i % 2 == 1:
-            fg += _WG[i // 2] * (y1 + y2)
-    return fk * h, abs(fk - fg) * h
+def _values(f, x: np.ndarray) -> np.ndarray:
+    """f at the nodes x: shape x.shape, or (m,) + x.shape for a stack; all finite."""
+    y = np.asarray(f(x), dtype=float)
+    if y.ndim == 0:
+        y = np.full(x.shape, y)
+    finite = np.isfinite(y)
+    if not finite.all():
+        at = x[~finite.reshape(-1, x.size).all(axis=0)].min()
+        raise NumericError(f"integrand returned non-finite value at x={float(at)!r}")
+    return y
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    max_panels: int = MAX_PANELS,
-) -> QuadResult:
-    """Adaptively integrate f over [a, b].
+def _level(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and |K15 - G7| of f on the panels [lo, hi], from one call of f;
+    shape (panels,), or (m, panels) for a stack."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    y = _values(f, (c + h * _NODES).ravel())
+    y = y.reshape(y.shape[:-1] + (15, lo.size))
+    # weighted sums down the node axis, not a matmul: that would be the first
+    # BLAS call of an analyze run, and BLAS touches ~0.4 MiB of work buffer
+    return (y * _KRONROD).sum(axis=-2) * h, np.abs((y * _ERROR).sum(axis=-2)) * h
 
-    Raises NumericError (carrying the best estimate) if the tolerance is
-    not met within max_panels panels.
+
+def _scalar(v: np.ndarray):
+    """A float for one integrand, the (m,) array for a stack."""
+    return float(v) if v.ndim == 0 else v
+
+
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              rel_tol: float = 1e-10, max_panels: int = MAX_PANELS) -> QuadResult:
+    """Integrate f over [a, b], level by level.
+
+    f maps a 1-D array of nodes to their values, or to an (m, nodes) stack
+    of m integrands. Each level evaluates every panel still being refined
+    in one call of f. Component c stops once its summed error is at most
+    max(rel_tol * |value_c|, ABS_FLOOR); a panel is bisected while any
+    component's error exceeds its equal share of that tolerance.
+    Raises NumericError (carrying the best estimate) if that needs more
+    than max_panels panels.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
@@ -124,55 +152,43 @@ def integrate(
     if not (rel_tol > 0):
         raise ValidationError(f"rel_tol must be > 0, got {rel_tol!r}")
     if a == b:
-        y = f(a)
-        if not math.isfinite(y):
-            raise NumericError(f"integrand returned non-finite value at x={a!r}")
-        return QuadResult(0.0, 0.0, 1)
+        zero = np.zeros(_values(f, np.array([a])).shape[:-1])
+        return QuadResult(_scalar(zero), _scalar(zero), 1)
 
-    val, err = _panel(f, a, b)
-    evals = 15
-    # heap of (-error, tiebreak, a, b, value, error); worst panel on top
-    seq = 0
-    heap = [(-err, seq, a, b, val, err)]
-    total_val, total_err = val, err
-    panels = 1
-    while total_err > max(rel_tol * abs(total_val), ABS_FLOOR):
-        if panels >= max_panels:
-            raise NumericError(
-                f"quadrature did not converge within {max_panels} panels "
-                f"(value ~ {total_val!r}, error ~ {total_err!r})",
-                estimate=total_val,
-                error_estimate=total_err,
-            )
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            raise NumericError(
-                "quadrature stalled on an unsplittable panel "
-                f"(value ~ {total_val!r}, error ~ {total_err!r})",
-                estimate=total_val,
-                error_estimate=total_err,
-            )
-        lval, lerr = _panel(f, pa, mid)
-        rval, rerr = _panel(f, mid, pb)
-        evals += 30
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        seq += 1
-        heapq.heappush(heap, (-lerr, seq, pa, mid, lval, lerr))
-        seq += 1
-        heapq.heappush(heap, (-rerr, seq, mid, pb, rval, rerr))
-        panels += 1
-    return QuadResult(total_val, total_err, evals)
+    edges = np.linspace(a, b, min(_START_PANELS, max_panels) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _level(f, lo, hi)
+    evals = 15 * lo.size
+    while True:
+        total, total_err = val.sum(axis=-1), err.sum(axis=-1)
+        tol = np.maximum(rel_tol * np.abs(total), ABS_FLOOR)
+        if (total_err <= tol).all():
+            return QuadResult(_scalar(total), _scalar(total_err), evals)
+        # the shares sum to tol, so some panel exceeds its share
+        over = err > (tol / lo.size)[..., None]
+        split = over.reshape(-1, lo.size).any(axis=0)
+        slo, shi = lo[split], hi[split]
+        mid = 0.5 * (slo + shi)
+        stalled = np.any((mid <= slo) | (mid >= shi))
+        if stalled or lo.size + slo.size > max_panels:
+            est, est_err = _scalar(total), _scalar(total_err)
+            why = ("stalled on an unsplittable panel" if stalled
+                   else f"did not converge within {max_panels} panels")
+            raise NumericError(f"quadrature {why} (value ~ {est!r}, error ~ {est_err!r})",
+                               estimate=est, error_estimate=est_err)
+        new_lo, new_hi = np.concatenate((slo, mid)), np.concatenate((mid, shi))
+        new_val, new_err = _level(f, new_lo, new_hi)
+        evals += 15 * new_lo.size
+        keep = ~split
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[..., keep], new_val), axis=-1)
+        err = np.concatenate((err[..., keep], new_err), axis=-1)
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    a: float,
-    rel_tol: float = 1e-10,
-    max_panels: int = MAX_PANELS,
-) -> QuadResult:
-    """Integrate f over [a, inf) via tau = a + t/(1-t), t in [0, 1).
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], a: float,
+                            rel_tol: float = 1e-10, max_panels: int = MAX_PANELS) -> QuadResult:
+    """Integrate f over [a, inf) via tau = a + t/(1-t), t in [0, 1), as `integrate` does.
 
     f must be absolutely integrable; values at huge arguments should
     decay to 0 (all headway densities do).
@@ -180,14 +196,11 @@ def integrate_semi_infinite(
     if not math.isfinite(a):
         raise ValidationError(f"lower bound must be finite, got {a!r}")
 
-    def g(t: float) -> float:
+    def g(t):
         omt = 1.0 - t
-        if omt <= 0.0:
-            return 0.0
-        y = f(a + t / omt)
-        if y == 0.0:
-            return 0.0
-        return y / omt / omt
+        # a node rounded onto t = 1 maps to tau = a with weight 1/inf^2 = 0
+        omt[omt <= 0.0] = np.inf
+        return np.asarray(f(a + t / omt), dtype=float) / omt / omt
 
     return integrate(g, 0.0, 1.0, rel_tol=rel_tol, max_panels=max_panels)
 
@@ -249,7 +262,7 @@ def _lag_weights(headway, shape, mass, coef: float, step: float, upper: float):
     K, r = _snap_index(upper / step)
     K, r = int(K), float(r)
     lags = np.arange(K + 1) * step
-    fvals = np.array([headway.pdf(t) for t in lags.tolist()]) * shape(lags)
+    fvals = headway.pdf(lags) * shape(lags)
     f_up = headway.pdf(upper) * shape(upper)
     # Normalize the trapezoid mass to the exact one. The marching fixed point
     # is (1-q)/(1 - coef*mass); raw trapezoid weights miss the mass by O(step^2),

@@ -136,6 +136,28 @@ def test_analyze_fading_scenario(tmp_path):
     assert float(rows[0][2]) == pytest.approx(16.0, rel=1e-9)
 
 
+def test_analyze_non_finite_closed_form_is_a_numeric_error_row(tmp_path):
+    # F_P ~ 1e-293: mu_D is finite, its square overflows var_renewal
+    out = tmp_path / "f.csv"
+    code = main(["analyze", "--scenario", "fading", "--headway", "exponential",
+                 "--rate", "0.2", "--alpha", "6", "--pth", "1e-300", "--pt", "1",
+                 "--gain", "1", "--d0", "1", "--out", str(out)])
+    assert code == 4
+    _, _, rows, _ = parse(out)
+    assert rows[0][1:5] == ["", "", "", ""]
+    assert rows[0][5] == "NumericError: non-finite closed form: var_renewal = inf"
+
+
+def test_fading_analyze_sweep_reruns_are_byte_identical(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["analyze", "--scenario", "fading", "--headway", "lognormal",
+            "--log-mean", "1.5", "--log-sd", "0.6", "--pt", "1", "--gain", "1",
+            "--d0", "1", "--alpha", "2", "--pth", "0.001", "--sweep", "alpha", "1", "6", "40"]
+    assert main([*argv, "--out", str(a)]) == 0
+    assert main([*argv, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_analyze_rejects_unknown_sweep_name(tmp_path):
     code = main(["analyze", *EXP_ARGS, "--sweep", "seed", "1", "2", "2",
                  "--out", str(tmp_path / "x.csv")])
@@ -376,6 +398,20 @@ def test_cdf_rejects_short_grid(tmp_path):
     code = main(["cdf", *EXP_ARGS, "--ds", "1", "--max-s", "50",
                  "--trials", "100", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["cdf", "compare"])
+def test_grid_is_checked_before_simulating(tmp_path, monkeypatch, capsys, command):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the grid check")
+
+    monkeypatch.setattr(cli.mc, "run", no_simulation)
+    out = tmp_path / "g.csv"
+    code = main([command, "--config", str(CONFIGS / "contention.cfg"), "--ds", "20",
+                 "--out", str(out)])
+    assert code == 2
+    assert "grid_step must satisfy grid_step <= max_range/10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cdf_solves_the_fading_scenario(tmp_path):

@@ -28,6 +28,7 @@ from vanetprop import (
     variance_renewal,
 )
 from vanetprop import fading as fading_module
+from vanetprop import quad
 
 
 def model(c=0.05, alpha=1.0, d0=1.0):
@@ -102,6 +103,13 @@ def test_hop_failure_near_transparent_channel():
     assert hop_failure_prob(f, EXP) == pytest.approx(exact, rel=1e-6)
 
 
+def test_hop_failure_near_transparent_channel_keeps_its_digits():
+    # the moments' tolerance refines the stacked F_P too, far below the 1e-14
+    # floor of its own stop rule
+    exact = 1e-12 / (0.2 + 1e-12)
+    assert hop_failure_prob(model(c=1e-12), EXP) == pytest.approx(exact, rel=1e-9)
+
+
 def test_hop_failure_blocked_channel():
     assert hop_failure_prob(model(c=1e8), EXP) == pytest.approx(1.0, abs=1e-9)
 
@@ -119,8 +127,8 @@ def test_shared_closed_forms_accept_a_fading_model(d):
     assert mean_cluster_size(d, f) == (1.0 - fp) / fp
 
 
-def test_fading_stats_takes_three_quadratures(monkeypatch):
-    # F_P, E[H p_s(H)] and E[H^2 p_s(H)], each once per point
+def test_fading_stats_takes_one_quadrature(monkeypatch):
+    # F_P, E[H p_s(H)] and E[H^2 p_s(H)] as one stacked integrand per point
     calls = []
     real = fading_module.integrate_semi_infinite
 
@@ -130,7 +138,45 @@ def test_fading_stats_takes_three_quadratures(monkeypatch):
 
     monkeypatch.setattr(fading_module, "integrate_semi_infinite", counted)
     fading_stats(model(c=0.001, alpha=2.0), LognormalHeadway(log_mean=1.5, log_sd=0.6))
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_heavy_tailed_hop_law_matches_a_log_space_oracle():
+    # log_sd = 3 puts the mass of E[H^k p(H)] within ~1e-9 of t = 1 under
+    # tau = t/(1-t); per-width error shares exhausted the panels here
+    d = LognormalHeadway(log_mean=1.5, log_sd=3.0)
+    f = model(c=1e-6, alpha=1.0, d0=3.0)
+    _, fail, m1, m2 = f.hop_law(d)
+    for k, got in ((0, fail), (1, m1), (2, m2)):
+        def g(u, k=k):  # H = e^u with u ~ Normal(1.5, 3^2)
+            t = math.exp(u)
+            x = 1e-6 * t / 3.0
+            return math.exp(-0.5 * ((u - 1.5) / 3.0) ** 2) / (3.0 * math.sqrt(2.0 * math.pi)) \
+                * (-math.expm1(-x) if k == 0 else t ** k * math.exp(-x))
+        oracle, _ = scipy.integrate.quad(g, 1.5 - 40.0 * 3.0, 1.5 + 40.0 * 3.0,
+                                         points=[1.5, 1.5 + 15.0, 1.5 + 30.0],
+                                         epsabs=0.0, epsrel=1e-13, limit=500)
+        assert got == pytest.approx(oracle, rel=1e-10)
+
+
+def test_canonical_fading_point_takes_few_levels(monkeypatch):
+    # the lognormal alpha = 2 point of the benchmark sweep: each integrand call
+    # is one level of the quadrature, so this bounds the numpy overhead
+    levels, evals = [], []
+    real = quad.integrate
+
+    def counted(f, *args, **kwargs):
+        def g(t):
+            levels.append(t.size)
+            return f(t)
+        res = real(g, *args, **kwargs)
+        evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(quad, "integrate", counted)
+    fading_stats(model(c=0.001, alpha=2.0), LognormalHeadway(log_mean=1.5, log_sd=0.6))
+    assert len(levels) <= 4
+    assert evals == [sum(levels)] and evals[0] <= 1200
 
 
 @pytest.mark.parametrize("d", [

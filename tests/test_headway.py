@@ -104,6 +104,47 @@ def test_lognormal_cdf_keeps_the_lower_tail():
     assert d.cdf(math.exp(-10.0)) == pytest.approx(scipy.stats.norm.cdf(-10.0), rel=1e-13, abs=0.0)
 
 
+# ---------------------------------------------------- array arguments
+
+# a (2, 4) grid: zero, both sides of the uniform edges, the lognormal tails
+GRID = np.array([[0.0, 1e-3, 1.9, 2.0],
+                 [5.5, 8.0, 20.0, 250.0]])
+
+
+@pytest.mark.parametrize("d", density_families(), ids=repr)
+def test_array_pdf_and_cdf_equal_the_scalar_calls(d):
+    for fn in (d.pdf, d.cdf):
+        out = fn(GRID)
+        assert isinstance(out, np.ndarray) and out.shape == GRID.shape
+        scalar = np.array([[fn(float(x)) for x in row] for row in GRID])
+        np.testing.assert_allclose(out, scalar, rtol=1e-15, atol=0.0)
+        assert isinstance(fn(2.5), float)
+
+
+@pytest.mark.parametrize("d", all_families()[-2:], ids=repr)
+def test_atomic_cdf_takes_arrays_and_pdf_raises_on_them(d):
+    out = d.cdf(GRID)
+    assert out.shape == GRID.shape
+    np.testing.assert_array_equal(out, [[d.cdf(float(x)) for x in row] for row in GRID])
+    with pytest.raises(ValidationError, match=r"use atoms\(\)"):
+        d.pdf(GRID)
+
+
+@pytest.mark.parametrize("d", density_families(), ids=repr)
+def test_array_pdf_rejects_a_negative_entry(d):
+    with pytest.raises(ValidationError, match="-0.5"):
+        d.pdf(np.array([1.0, -0.5, 2.0]))
+
+
+@pytest.mark.parametrize("d", density_families(), ids=repr)
+def test_pdf_and_cdf_at_zero_are_finite_without_warnings(d):
+    # pytest turns warnings into errors, so a log(0) or 0/0 would fail here
+    for fn in (d.pdf, d.cdf):
+        assert math.isfinite(fn(0.0))
+        assert np.all(np.isfinite(fn(np.zeros(3))))
+    np.testing.assert_array_equal(d.cdf(np.array([-1.0, 0.0])), [0.0, 0.0])
+
+
 # ---------------------------------------------------------- moments
 
 def test_mean_variance_spot_values():

@@ -55,14 +55,14 @@ def test_integrate_polynomial_exact():
 
 
 def test_integrate_exponential_density():
-    res = integrate(lambda t: 0.2 * math.exp(-0.2 * t), 0.0, 100.0)
+    res = integrate(lambda t: 0.2 * np.exp(-0.2 * t), 0.0, 100.0)
     assert res.value == pytest.approx(1.0 - math.exp(-20.0), rel=1e-10)
     oracle, _ = scipy.integrate.quad(lambda t: 0.2 * math.exp(-0.2 * t), 0.0, 100.0)
     assert res.value == pytest.approx(oracle, rel=1e-10)
 
 
 def test_integrate_truncated_first_moment():
-    res = integrate(lambda t: t * 0.2 * math.exp(-0.2 * t), 0.0, 100.0)
+    res = integrate(lambda t: t * 0.2 * np.exp(-0.2 * t), 0.0, 100.0)
     assert res.value == pytest.approx(4.999999783578869, rel=1e-10)
 
 
@@ -90,23 +90,97 @@ def test_integrate_rejects_nan_integrand():
 
 def test_integrate_exhaustion_carries_estimate():
     with pytest.raises(NumericError) as exc:
-        integrate(lambda t: math.exp(-t), 0.0, 50.0, rel_tol=1e-14, max_panels=2)
+        integrate(lambda t: np.exp(-t), 0.0, 50.0, rel_tol=1e-14, max_panels=2)
     err = exc.value
     assert err.estimate is not None and math.isfinite(err.estimate)
     assert err.error_estimate is not None and err.error_estimate > 0.0
 
 
+# -------------------------------------------------- stacked integrands
+
+def _kernel_stack(d, alpha, d0=3.0):
+    """pdf times (1 - p, t p, t^2 p) for p(t) = exp(-(t/d0)^alpha), as fading stacks it."""
+    def f(t):
+        x = (t / d0) ** alpha
+        p = np.exp(-x)
+        return d.pdf(t) * np.array((-np.expm1(-x), t * p, t * t * p))
+    return f
+
+
+def _scipy_semi_infinite(g, breaks):
+    """int_0^inf g by scipy, split at `breaks` (a density's jumps) and at the last one."""
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    edge = max(breaks, default=50.0)
+    head, _ = scipy.integrate.quad(g, 0.0, edge, points=breaks or None, **opts)
+    tail, _ = scipy.integrate.quad(g, edge, np.inf, **opts)
+    return head + tail
+
+
+@pytest.mark.parametrize("d, breaks", [
+    (ExponentialHeadway(rate=0.2), []),
+    (LognormalHeadway(log_mean=1.5, log_sd=3.0), [0.1, 4.5, 200.0]),
+    (UniformHeadway(low=2.0, high=20.0), [2.0, 20.0]),
+], ids=["exponential", "lognormal_sd3", "uniform"])
+@pytest.mark.parametrize("alpha", [2.0, 6.0])
+def test_stacked_integrand_matches_scipy_per_component(d, breaks, alpha):
+    f = _kernel_stack(d, alpha)
+    res = integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+    assert res.value.shape == res.abs_error_estimate.shape == (3,)
+    for c in range(3):
+        oracle = _scipy_semi_infinite(lambda t: float(f(np.array([t]))[c, 0]), breaks)
+        assert res.value[c] == pytest.approx(oracle, rel=1e-9)
+
+
+def test_a_small_component_meets_its_own_tolerance():
+    # a joint stop rule would accept the narrow peak at the big sibling's
+    # tolerance (~100); each component has its own
+    def f(t):
+        return np.array((1e12 * np.exp(-t), 1e3 * np.exp(-((t - 3.3) / 0.05) ** 2)))
+
+    res = integrate(f, 0.0, 10.0, rel_tol=1e-10)
+    peak = 1e3 * 0.05 * math.sqrt(math.pi)
+    assert res.value[1] / res.value[0] < 1e-9
+    assert res.value[0] == pytest.approx(1e12 * -math.expm1(-10.0), rel=1e-10)
+    assert res.value[1] == pytest.approx(peak, rel=1e-10)
+    assert np.all(res.abs_error_estimate <= 1e-10 * np.abs(res.value))
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_stacked_integrand_with_a_nan_component_raises(bad):
+    def f(t):
+        out = np.array((np.exp(-t), t * np.exp(-t)))
+        out[bad, t > 0.7] = np.nan
+        return out
+
+    with pytest.raises(NumericError, match="non-finite value at x=0.7"):
+        integrate(f, 0.0, 1.0)
+
+
+def test_stacked_exhaustion_carries_the_estimate():
+    with pytest.raises(NumericError) as exc:
+        integrate(lambda t: np.array((np.exp(-t), np.sin(40.0 * t))), 0.0, 50.0,
+                  rel_tol=1e-14, max_panels=40)
+    err = exc.value
+    assert err.estimate.shape == err.error_estimate.shape == (2,)
+    assert np.all(np.isfinite(err.estimate)) and np.all(err.error_estimate > 0.0)
+
+
+def test_stacked_empty_interval_gives_zeros():
+    res = integrate(lambda t: np.array((t, 2.0 * t)), 1.0, 1.0)
+    np.testing.assert_array_equal(res.value, [0.0, 0.0])
+
+
 # ----------------------------------------------------- semi-infinite range
 
 def test_semi_infinite_density_mass():
-    res = integrate_semi_infinite(lambda t: 0.2 * math.exp(-0.2 * t), 0.0)
+    res = integrate_semi_infinite(lambda t: 0.2 * np.exp(-0.2 * t), 0.0)
     assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_semi_infinite_damped_first_moment():
     # int_0^inf tau * 0.2 e^{-0.2 tau} e^{-0.05 tau} dtau = 0.2 / 0.25^2
     res = integrate_semi_infinite(
-        lambda t: t * 0.2 * math.exp(-0.2 * t) * math.exp(-0.05 * t), 0.0)
+        lambda t: t * 0.2 * np.exp(-0.2 * t) * np.exp(-0.05 * t), 0.0)
     assert res.value == pytest.approx(3.2, rel=1e-9)
 
 
@@ -115,7 +189,7 @@ def test_semi_infinite_zero_function():
 
 
 def test_semi_infinite_shifted_lower_bound():
-    res = integrate_semi_infinite(lambda t: math.exp(-t), 2.0)
+    res = integrate_semi_infinite(lambda t: np.exp(-t), 2.0)
     assert res.value == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
@@ -463,6 +537,24 @@ def test_blocked_printed_form_matches_per_step_reference(d, step, L):
         return 1.0 - d.cdf(L)
 
     _agree(solve_printed_cdf(d, p_s, L, step, max_s), _reference(d, 1.0, const, n, step, L))
+
+
+def test_solvers_evaluate_the_headway_law_in_array_calls(monkeypatch):
+    calls = {"pdf": 0, "cdf": 0}
+    for name in calls:
+        real = getattr(LognormalHeadway, name)
+
+        def counted(self, x, real=real, name=name):
+            calls[name] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(LognormalHeadway, name, counted)
+    d = LognormalHeadway(log_mean=2.0, log_sd=0.5)
+    solve_renewal_cdf(d, 0.9, 100.0, 0.01, 300.0)   # 10 001 kernel lags
+    solve_printed_cdf(d, 0.9, 100.0, 0.01, 300.0)
+    # per solve: the lags and the partial-panel end point; q and the kernel
+    # mass at L; and the printed constant in one array call
+    assert calls == {"pdf": 4, "cdf": 5}
 
 
 def test_small_empirical_data_set_is_solved_against_its_atoms():
