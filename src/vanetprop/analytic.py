@@ -194,15 +194,17 @@ def _solver_setup(d: HeadwayDistribution, m, grid_step: float, max_s: float):
 
 
 def cdf(d: HeadwayDistribution, m, grid_step: float, max_s: float) -> CdfCurve:
-    """F_D on [0, max_s] for either channel model: F_D(0) = 1 - q exactly, later
-    grid values by implicit trapezoidal marching against the lag weights of the
-    model's hop kernel f_H p, then monotonicity repair (decreases below 1e-6
-    clamp, anything larger raises)."""
+    """F_D on [0, max_s] for either channel model: F_D(0) = (1 - q) / (1 - p(0) P(H = 0)),
+    which is 1 - q unless gaps can be exactly 0; later grid values by implicit
+    trapezoidal marching against the lag weights of the model's hop kernel f_H p,
+    then monotonicity repair (decreases below 1e-6 clamp, anything larger raises)."""
     fail, n, (coef, shape, upper, mass) = _solver_setup(d, m, grid_step, max_s)
     w, dw = _lag_weights(d, shape, mass, coef, grid_step, upper)
-    F = _march(w, dw, coef, np.full(n, fail), clamp=True)
-    F[0] = fail  # exact by construction, restated for clarity
-    return CdfCurve(grid_step, max_s, _repair(F))
+    const = np.full(n, fail)
+    # row 0 of the renewal equation, F_D(0) = 1 - q + p(0) P(H = 0) F_D(0):
+    # w[0] + dw[0] is the kernel's weight on zero gaps
+    const[0] = fail / (1.0 - coef * (w[0] + dw[0]))
+    return CdfCurve(grid_step, max_s, _repair(_march(w, dw, coef, const, clamp=True)))
 
 
 def solve_renewal_cdf(headway, p_s: float, max_range: float,

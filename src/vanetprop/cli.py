@@ -3,6 +3,7 @@
 Subcommands: analyze (closed forms over an optional sweep), simulate
 (Monte Carlo), compare (closed forms vs simulation with pass/fail
 arbitration), cdf (distance CDF curve vs simulated ECDF, either scenario).
+compare and cdf evaluate the analytic side before they simulate.
 
 Output is CSV, preceded by '#' metadata lines that echo the resolved run
 parameters (never execution details like worker count, so reruns are
@@ -51,19 +52,21 @@ _HEADWAYS = {
 class _Scenario(NamedTuple):
     model: type            # channel model class
     link: tuple[str, ...]  # its parameters, in argument order
-    columns: list[str]     # the `analyze` columns stats fills, in field order
+    columns: dict[str, str]  # `analyze` column -> the stats record field behind it
     stats: Callable        # (headway, model) -> every closed form at one point
 
 
 _SCENARIOS = {
     "contention": _Scenario(
         analytic.ContentionModel, ("ps", "range"),
-        ["mu_D", "mean_lower", "mean_upper", "var_paper", "var_renewal",
-         "var_lower", "var_upper", "mu_N"],
+        {"mu_D": "mean", "mean_lower": "mean_lower", "mean_upper": "mean_upper",
+         "var_paper": "var_paper", "var_renewal": "var_renewal",
+         "var_lower": "var_lower", "var_upper": "var_upper", "mu_N": "cluster_size"},
         lambda d, model: analytic.distance_stats(d, model)),
     "fading": _Scenario(
         fading.FadingModel, ("pt", "gain", "d0", "alpha", "pth"),
-        ["q_hop", "mu_D", "var_paper", "var_renewal"],
+        {"q_hop": "q_hop", "mu_D": "mean", "var_paper": "var_paper",
+         "var_renewal": "var_renewal"},
         lambda d, model: fading.fading_stats(model, d)),
 }
 
@@ -285,7 +288,7 @@ def cmd_analyze(params: dict) -> int:
             if d is None or name in _headway_keys(params):
                 d = _build_headway(point)
             st = scenario.stats(d, _build_model(point, table))
-            values = vars(st).values()  # fields in definition order
+            values = [getattr(st, field) for field in scenario.columns.values()]
             bad = [f"{k} = {v!r}" for k, v in zip(scenario.columns, values)
                    if not math.isfinite(v)]
             if bad:
@@ -325,21 +328,18 @@ def cmd_compare(params: dict) -> int:
     # either grid key asks for the CDF check; _sim_config then requires both
     want_cdf = any(params.get(k) is not None for k in ("ds", "max_s"))
     cfg = _sim_config(params, ecdf=want_cdf)
-    d, model = cfg.headway, cfg.model
-    if want_cdf:  # the solver's checks first: a grid it rejects costs no simulation
-        analytic._solver_setup(d, model, *cfg.ecdf_grid)
+    # the analytic side first: a grid or point it rejects costs no simulation
+    curve = analytic.cdf(cfg.headway, cfg.model, *cfg.ecdf_grid) if want_cdf else None
+    st = scenario.stats(cfg.headway, cfg.model)
     stats = mc.run(cfg, workers=_get(params, "workers"))
 
     checks = [  # (metric label, report, required)
-        ("mean_D", mc.compare(analytic.mean_distance(d, model), stats, "mean_D"), True),
-        ("var_D_renewal", mc.compare(analytic.variance_renewal(d, model), stats, "var_D"),
-         True),
-        ("var_D_paper", mc.compare(scenario.stats(d, model).var_paper, stats, "var_D"),
-         False),
-        ("mean_N", mc.compare(analytic.mean_cluster_size(d, model), stats, "mean_N"), True),
+        ("mean_D", mc.compare(st.mean, stats, "mean_D"), True),
+        ("var_D_renewal", mc.compare(st.var_renewal, stats, "var_D"), True),
+        ("var_D_paper", mc.compare(st.var_paper, stats, "var_D"), False),
+        ("mean_N", mc.compare(st.cluster_size, stats, "mean_N"), True),
     ]
     if want_cdf:
-        curve = analytic.cdf(d, model, *cfg.ecdf_grid)
         checks.append(("cdf_supnorm", mc.compare(curve, stats, "cdf_supnorm"), True))
 
     renewal_passed = next(r.passed for label, r, _ in checks if label == "var_D_renewal")
@@ -367,18 +367,17 @@ def cmd_cdf(params: dict) -> int:
         raise ValidationError(
             f"--printed-form is the contention recursion; the {scenario} scenario has none")
     cfg = _sim_config(params, ecdf=True)
-    ds, max_s = cfg.ecdf_grid
-    # the solver's checks first: a grid it rejects costs no simulation
-    analytic._solver_setup(cfg.headway, cfg.model, ds, max_s)
-    stats = mc.run(cfg, workers=_get(params, "workers"))
-    curve = analytic.cdf(cfg.headway, cfg.model, ds, max_s)
+    d, m = cfg.headway, cfg.model
+    # the solves first: a grid or point they reject costs no simulation
+    curve = analytic.cdf(d, m, *cfg.ecdf_grid)
     header = ["s", "F_D_analytic", "F_D_ecdf", "abs_diff"]
-    diff = np.abs(curve.values - stats.ecdf.values)
-    cols = [curve.grid(), curve.values, stats.ecdf.values, diff]
+    extra = []
     if params.get("printed_form"):
         header.append("F_D_printed")
-        cols.append(solve_printed_cdf(cfg.headway, cfg.model.p_s,
-                                      cfg.model.max_range, ds, max_s))
+        extra.append(solve_printed_cdf(d, m.p_s, m.max_range, *cfg.ecdf_grid))
+    stats = mc.run(cfg, workers=_get(params, "workers"))
+    diff = np.abs(curve.values - stats.ecdf.values)
+    cols = [curve.grid(), curve.values, stats.ecdf.values, diff, *extra]
     _emit(params.get("out"), _meta_lines("cdf", params), header,
           np.column_stack(cols).tolist(), footer=f"# sup_norm = {float(np.max(diff))!r}")
     return EXIT_OK

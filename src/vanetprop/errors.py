@@ -13,6 +13,7 @@ class DegenerateProcessError(ValueError):
     """1 - q = 0: every hop succeeds and the propagation process never terminates.
 
     All closed forms divide by the hop failure probability 1 - q; raising beats returning inf.
+    The simulator also raises it where E[N] = q/(1-q) exceeds mc.MAX_MEAN_HOPS.
     """
 
 

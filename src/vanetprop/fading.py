@@ -159,14 +159,15 @@ def variance_fading_renewal(f: FadingModel, d: HeadwayDistribution) -> float:
 
 @dataclass(frozen=True)
 class FadingStats:
-    """q_hop is the per-hop success probability 1 - F_P."""
+    """q_hop is the per-hop success probability 1 - F_P; cluster_size is E[N]."""
 
     q_hop: float
     mean: float
     var_paper: float
     var_renewal: float
+    cluster_size: float
 
 
 def fading_stats(f: FadingModel, d: HeadwayDistribution) -> FadingStats:
     r = _renewal(d, f)
-    return FadingStats(q_hop=r.q, mean=r.mean, var_paper=r.second, var_renewal=r.var_renewal)
+    return FadingStats(r.q, r.mean, r.second, r.var_renewal, r.cluster_size)

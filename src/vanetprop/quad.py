@@ -252,9 +252,10 @@ def _snap_index(pos):
 
 def _lag_weights(headway, shape, mass, coef: float, step: float, upper: float):
     """Lag weights w of the hop kernel coef * f_H * shape on [0, upper], and row
-    corrections dw; mass() is the integral of f_H * shape there. An atomic law
-    goes by `_atom_kernel`; for a density, row j weighs F_0 by w[j] + dw[j], the
-    endpoint tau = s_j halved while s_j <= upper, and the partial panel
+    corrections dw; mass() is the integral of f_H * shape there. Row j weighs
+    F_0 by w[j] + dw[j]; in row 0 that is the kernel's weight on zero gaps. An
+    atomic law goes by `_atom_kernel`; for a density, the endpoint tau = s_j is
+    halved while s_j <= upper, row 0 weighs F_0 by 0, and the partial panel
     [K*step, upper] interpolates F_D(s - upper) between lags K and K+1.
     """
     if headway.atoms() is not None:
@@ -288,13 +289,16 @@ def _lag_weights(headway, shape, mass, coef: float, step: float, upper: float):
     w = np.append(step * fvals, 0.5 * r * r * step * f_up)
     w[[0, K]] *= 0.5
     w[K] += tail
-    return w, np.append(-0.5 * w[:K], [-tail, 0.0])
+    dw = np.append(-0.5 * w[:K], [-tail, 0.0])
+    dw[0] = -w[0]
+    return w, dw
 
 
 def _atom_kernel(headway, shape, coef: float, step: float, upper: float):
     """Lag weights of the atoms h = (m + phi)*step <= upper, weighted by shape(h):
     (1-phi) on lag m and phi on lag m+1, interpolating F_D between grid points.
-    Row m drops the lag-m share (dw) where phi > 0, since then h > s_m.
+    Row m drops the lag-m share (dw) where phi > 0, since then h > s_m; so row 0
+    keeps only the atom at 0.
     """
     values, weights = headway.atoms()
     keep = values <= upper + 1e-12 * np.maximum(1.0, values)

@@ -1,6 +1,8 @@
 """Command line interface: subcommands, config handling, exit codes."""
 
 import argparse
+import ast
+import dataclasses
 import json
 import pathlib
 import re
@@ -16,6 +18,7 @@ from vanetprop import (
     ContentionModel,
     EmpiricalHeadway,
     ExponentialHeadway,
+    FadingModel,
     NumericError,
     ValidationError,
     mean_cluster_size,
@@ -345,7 +348,9 @@ def test_compare_fading(tmp_path):
 
 
 def test_compare_failure_exits_five(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.analytic, "mean_distance", lambda d, m: 1.0e9)
+    stats = cli.analytic.distance_stats
+    monkeypatch.setattr(cli.analytic, "distance_stats",
+                        lambda d, m: dataclasses.replace(stats(d, m), mean=1.0e9))
     out = tmp_path / "c.csv"
     code = main(["compare", *EXP_ARGS, "--trials", "20000", "--out", str(out)])
     assert code == 5
@@ -411,6 +416,83 @@ def test_grid_is_checked_before_simulating(tmp_path, monkeypatch, capsys, comman
                  "--out", str(out)])
     assert code == 2
     assert "grid_step must satisfy grid_step <= max_range/10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cdf", "compare"])
+def test_a_solver_failure_exits_four_before_simulating(tmp_path, monkeypatch, capsys,
+                                                       command):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the solve")
+
+    monkeypatch.setattr(cli.mc, "run", no_simulation)
+    out = tmp_path / "n.csv"
+    # rate 50 puts nearly all gap mass inside the first 1 m cell
+    code = main([command, "--headway", "exponential", "--rate", "50", "--ps", "0.9",
+                 "--range", "100", "--ds", "1", "--max-s", "200", "--out", str(out)])
+    assert code == 4
+    assert "grid_step too coarse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CONTENTION_CFG = ["--config", str(CONFIGS / "contention.cfg")]  # carries a CDF grid
+FADING_CFG = ["--config", str(CONFIGS / "fading.cfg")]          # carries none
+GRID = ["--ds", "0.5", "--max-s", "300"]
+
+
+@pytest.mark.parametrize("argv, evaluations", [
+    (["compare", *CONTENTION_CFG], 3),
+    (["compare", *FADING_CFG, *GRID], 3),
+    (["compare", *EXP_ARGS], 2),
+    (["compare", *FADING_CFG], 2),
+    (["cdf", *CONTENTION_CFG], 2),
+    (["cdf", *FADING_CFG, *GRID], 2),
+], ids=["compare-contention-grid", "compare-fading-grid", "compare-contention",
+        "compare-fading", "cdf-contention", "cdf-fading"])
+def test_compare_and_cdf_take_the_hop_law_once_per_consumer(tmp_path, monkeypatch,
+                                                            argv, evaluations):
+    # the closed forms, the curve and the simulator's degeneracy check
+    calls = []
+    for model in (ContentionModel, FadingModel):
+        def counted(self, d, law=model.hop_law):
+            calls.append(d)
+            return law(self, d)
+        monkeypatch.setattr(model, "hop_law", counted)
+    main([*argv, "--trials", "2000", "--out", str(tmp_path / "o.csv")])
+    assert len(calls) == evaluations
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    modules = {"analytic", "fading", "mc", "quad"}
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    private += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in modules
+                for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_cdf_with_only_zero_gaps_is_one_from_the_start(tmp_path):
+    # every hop covers 0 m, so D = 0: F_D(0) = (1 - q) / (1 - p_s P(H = 0)) = 1
+    out = tmp_path / "z.csv"
+    code = main(["cdf", "--headway", "deterministic", "--spacing", "0", "--ps", "0.5",
+                 "--range", "100", "--ds", "1", "--max-s", "200", "--trials", "1000",
+                 "--out", str(out)])
+    assert code == 0
+    _, _, rows, footer = parse(out)
+    assert {r[1] for r in rows} == {"1.0"}
+    assert footer == ["# sup_norm = 0.0"]
+
+
+def test_compare_refuses_a_near_certain_hop_before_simulating(tmp_path, capsys):
+    # q = 1 - e^-20: about 4.9e8 hops per trial
+    out = tmp_path / "q.csv"
+    code = main(["compare", "--headway", "exponential", "--rate", "0.2", "--ps", "1",
+                 "--range", "100", "--trials", "1000", "--out", str(out)])
+    assert code == 3
+    assert "expected hops per trial" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -643,9 +725,11 @@ def test_empirical_headway_from_file(tmp_path):
     assert float(rows[0][1]) == mean_distance(d, ContentionModel(0.8, 100.0))
 
 
-def test_compare_small_empirical_data_set_passes(tmp_path):
+@pytest.mark.parametrize("gaps", [(2, 5, 5, 9, 14, 33), (0, 5, 5, 9, 14, 33)],
+                         ids=["six-gaps", "with-a-zero-gap"])
+def test_compare_small_empirical_data_set_passes(tmp_path, gaps):
     data = tmp_path / "six.txt"
-    data.write_text("2\n5\n5\n9\n14\n33\n")
+    data.write_text("".join(f"{g}\n" for g in gaps))
     out = tmp_path / "c.csv"
     code = main(["compare", "--headway", "empirical", "--data", str(data),
                  "--ps", "0.9", "--range", "100", "--ds", "0.5", "--max-s", "300",

@@ -28,7 +28,7 @@ from vanetprop import (
     mean_distance,
     run,
 )
-from vanetprop import cli
+from vanetprop import cli, mc
 from vanetprop.mc import BLOCK_TRIALS, _grid_index, _simulate_block
 
 EXP = ExponentialHeadway(rate=0.2)
@@ -332,7 +332,6 @@ def test_compare_cdf_supnorm():
     rep = compare(curve, st, "cdf_supnorm")
     assert rep.passed
     assert rep.abs_error < 0.01
-    assert "threshold" in rep.detail
 
 
 def test_compare_cdf_validation():
@@ -377,9 +376,22 @@ def test_config_rejects_a_non_finite_ecdf_grid(grid):
         SimConfig(EXP, M_EXP, trials=10, seed=0, ecdf_grid=grid)
 
 
+@pytest.mark.parametrize("limit, runs", [(8.9, False), (9.1, True)])
+def test_the_hop_limit_applies_to_the_expected_cluster_size(monkeypatch, limit, runs):
+    monkeypatch.setattr(mc, "MAX_MEAN_HOPS", limit)  # M_EXP has E[N] = 8.9999998
+    if runs:
+        assert run(SimConfig(EXP, M_EXP, trials=10, seed=0)).trials == 10
+    else:
+        with pytest.raises(DegenerateProcessError):
+            run(SimConfig(EXP, M_EXP, trials=10, seed=0))
+
+
 def test_degenerate_processes_refuse_to_run():
     with pytest.raises(DegenerateProcessError):
         run(SimConfig(UniformHeadway(0.0, 10.0), ContentionModel(1.0, 100.0),
                       trials=10, seed=0))
     with pytest.raises(DegenerateProcessError):
         run(SimConfig(DeterministicHeadway(0.0), FADE, trials=10, seed=0))
+    # q = 1 - e^-20: E[N] ~ 4.9e8 hops per trial would run for days
+    with pytest.raises(DegenerateProcessError, match="expected hops per trial"):
+        run(SimConfig(EXP, ContentionModel(1.0, 100.0), trials=10, seed=0))

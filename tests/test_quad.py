@@ -33,6 +33,7 @@ from vanetprop.quad import (
 )
 
 SIX_GAPS = [2.0, 5.0, 5.0, 9.0, 14.0, 33.0]
+ZERO_GAPS = [0.0, *SIX_GAPS[1:]]  # an atom at 0 puts weight on F_D(0)
 
 
 def solver_families():
@@ -227,9 +228,9 @@ def _panjer_cdf(gaps, hop, step, n):
     """F_D at j * step, j < n, by Panjer's recursion (1981) for a geometric count.
 
     `hop` gives each gap's success probability p(h). The accepted hop puts
-    t_i = P(H = i step) p(i step) on lattice point i; then g_0 = 1 - q,
-    g_k = sum_{i=1..k} t_i g_{k-i} and F_D = cumsum(g). Every gap must sit
-    on the lattice.
+    t_i = P(H = i step) p(i step) on lattice point i; then
+    g_0 = (1 - q) / (1 - t_0), g_k = sum_{i=1..k} t_i g_{k-i} / (1 - t_0) and
+    F_D = cumsum(g). Every gap must sit on the lattice.
     """
     gaps = np.asarray(gaps, dtype=float)
     idx = np.rint(gaps / step).astype(int)
@@ -238,9 +239,9 @@ def _panjer_cdf(gaps, hop, step, n):
     t = np.zeros(n)
     np.add.at(t, idx[idx < n], accept[idx < n])
     g = np.zeros(n)
-    g[0] = 1.0 - accept.sum()
+    g[0] = (1.0 - accept.sum()) / (1.0 - t[0])
     for k in range(1, n):
-        g[k] = np.dot(t[1:k + 1], g[k - 1::-1])
+        g[k] = np.dot(t[1:k + 1], g[k - 1::-1]) / (1.0 - t[0])
     return np.cumsum(g)
 
 
@@ -248,6 +249,7 @@ def _panjer_cdf(gaps, hop, step, n):
     (DeterministicHeadway(spacing=5.0), [5.0], 1.0),
     (EmpiricalHeadway.from_samples(SIX_GAPS), SIX_GAPS, 0.5),
     (EmpiricalHeadway.from_samples(SIX_GAPS + [120.0]), SIX_GAPS + [120.0], 1.0),
+    (EmpiricalHeadway.from_samples(ZERO_GAPS), ZERO_GAPS, 0.5),
 ])
 def test_solver_matches_panjer_lattice_oracle(d, gaps, step):
     curve = solve_renewal_cdf(d, 0.9, 100.0, step, 300.0)
@@ -264,12 +266,14 @@ def fading(alpha, d0=15.0):
 @pytest.mark.parametrize("d, gaps, step", [
     (DeterministicHeadway(spacing=5.0), [5.0], 1.0),
     (EmpiricalHeadway.from_samples(SIX_GAPS), SIX_GAPS, 0.5),
+    (EmpiricalHeadway.from_samples(ZERO_GAPS), ZERO_GAPS, 0.5),
 ])
 @pytest.mark.parametrize("alpha", [1.0, 3.0, 6.0])
 def test_fading_solve_matches_panjer_lattice_oracle(d, gaps, step, alpha):
     f = fading(alpha)
     curve = cdf(d, f, step, 300.0)
-    oracle = _panjer_cdf(gaps, lambda h: success_prob(f, h), step, curve.values.size)
+    oracle = _panjer_cdf(gaps, lambda h: success_prob(f, h) if h > 0.0 else 1.0, step,
+                         curve.values.size)
     assert float(np.max(np.abs(curve.values - oracle))) <= 1e-12
 
 
