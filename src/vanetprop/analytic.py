@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateProcessError, ValidationError
+from .errors import DegenerateProcessError, NumericError, ValidationError
 from .headway import HeadwayDistribution
 from .quad import CdfCurve, _lag_weights, _march, _repair, _snap_index
 
@@ -234,7 +234,10 @@ def solve_printed_cdf(headway, p_s: float, max_range: float,
     # same lag weights as the corrected solver; only the constant term
     # and the missing p_s factor on the integral differ
     w, dw = _lag_weights(headway, shape, mass, 1.0, grid_step, upper)
-    return _march(w, dw, 1.0, const)
+    try:
+        return _march(w, dw, 1.0, const)
+    except NumericError as exc:  # without clamp, only a singular step raises
+        raise NumericError(f"the printed CDF recursion is singular here: {exc}") from exc
 
 
 @dataclass(frozen=True)

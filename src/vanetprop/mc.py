@@ -6,11 +6,13 @@ tau <= max_range and u < p_s; fading: u < p_s(tau)), accumulate D += tau
 and N += 1 on success, stop on the first failure. No closed form enters
 the simulator, so it can arbitrate between conflicting analytical variants.
 
-Reproducibility: trials are split into fixed blocks of 8192; block b
-draws from a Philox stream keyed (seed, b), and trials inside one block
-advance in lockstep with the active set compacted each round. Partial
-results reduce in block order, so for a given (seed, trials) the output
-is bit-identical no matter how many worker processes run the blocks.
+Trials are split into fixed blocks of 8192. A block is one i.i.d. hop
+stream cut at its failures: trial k ends at the stream's k-th failed hop,
+so trials stay independent. Block b draws its stream from an SFC64
+generator seeded by SeedSequence((seed, b)), in chunks of as many hops as
+the block has trials. Partial results reduce in block order, so for a
+given (seed, trials) the output is bit-identical no matter how many
+worker processes run the blocks.
 """
 
 from __future__ import annotations
@@ -30,13 +32,16 @@ __all__ = ["SimConfig", "SimStats", "ComparisonReport", "run", "compare"]
 
 BLOCK_TRIALS = 8192
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# cdf_supnorm passes iff the sup distance between curve and ECDF is below this
-CDF_SUPNORM_GATE = 0.01
+# cdf_supnorm passes iff the sup distance between curve and ECDF is below
+# cdf_supnorm_gate(trials): this floor, or the DKW band at level
+# CDF_SUPNORM_ALPHA where the ECDF's own noise is larger (trials < 38 100)
+CDF_SUPNORM_FLOOR = 0.01
+CDF_SUPNORM_ALPHA = 1e-3
 # Largest E[N] = q/(1-q), in expected hops per trial, that `run` simulates. A
-# block's time grows linearly with E[N]: one 8192-trial block took 0.39 s at
-# E[N] = 999 and 4.0 s at 9 999 (about 0.4 ms per expected hop; 2-vCPU x86
+# block's time grows linearly with E[N]: one 8192-trial block took 0.14 s at
+# E[N] = 999 and 1.5 s at 9 999 (about 0.15 ms per expected hop; 2-vCPU x86
 # host, exponential gaps). At this limit the default 100 000 trials take about
-# a minute per worker; as q -> 1 a run would take hours to days.
+# 20 s per worker; as q -> 1 a run would take hours to days.
 MAX_MEAN_HOPS = 1.0e4
 
 _MAX_SEED = 2 ** 64 - 1
@@ -87,21 +92,49 @@ class SimStats:
     ecdf: CdfCurve | None
 
 
+def cdf_supnorm_gate(trials: int) -> float:
+    """Largest sup distance that cdf_supnorm passes for an ECDF of `trials` trials.
+
+    By the Dvoretzky-Kiefer-Wolfowitz inequality a correct curve lies
+    farther than sqrt(ln(2/alpha) / (2 n)) from the ECDF with probability
+    at most alpha, so the gate is never tighter than that band.
+    """
+    return max(CDF_SUPNORM_FLOOR,
+               math.sqrt(math.log(2.0 / CDF_SUPNORM_ALPHA) / (2.0 * trials)))
+
+
 def _simulate_block(headway: HeadwayDistribution, model, seed: int,
                     block_index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (D, N) for one block, from the block's own Philox stream."""
-    key = np.array([seed, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    D = np.zeros(n)
-    N = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    while active.size:
-        tau = headway.sample(rng, size=active.size)
-        succ = model.hop_succeeds(tau, rng.random(active.size))
-        idx = active[succ]
-        D[idx] += tau[succ]
-        N[idx] += 1
-        active = idx
+    """Per-trial (D, N) for one block, from the block's own SFC64 stream.
+
+    The block is one stream of i.i.d. hops, drawn in chunks of n: one gap
+    array, then one uniform array. Trial k is the run of hops that ends at
+    the stream's k-th failure; a trial still open at the end of a chunk
+    carries its partial D and N into the next one, and hops past the n-th
+    failure go unused.
+    """
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block_index))))
+    D = np.empty(n)
+    N = np.empty(n, dtype=np.int64)
+    done, open_d, open_n = 0, 0.0, 0
+    while done < n:
+        tau = headway.sample(rng, size=n)
+        fails = ~model.hop_succeeds(tau, rng.random(n))
+        ends = np.flatnonzero(fails)[: n - done]  # the last hop of each trial closed here
+        k = ends.size
+        # hops per trial: k closed ones, their failed hop included, then the
+        # open one (once the block's last trial closes, the hops left over)
+        counts = np.diff(ends, prepend=-1, append=n - 1)
+        gain = np.where(fails, 0.0, tau)  # a failed hop adds no distance
+        # the open trial's partial sum comes first, so every D is the
+        # left-to-right sum of its accepted gaps
+        gain[0] += open_d
+        d = np.bincount(np.repeat(np.arange(k + 1), counts), weights=gain, minlength=k + 1)
+        counts[0] += open_n
+        D[done:done + k] = d[:k]
+        N[done:done + k] = counts[:k] - 1
+        open_d, open_n = float(d[k]), int(counts[k])
+        done += k
     return D, N
 
 
@@ -247,7 +280,7 @@ class ComparisonReport:
 
     Scalar metrics pass iff |analytic - simulated| <= 4 * ci95 (the CI
     half-width); cdf_supnorm passes iff the sup distance on the shared
-    grid is below CDF_SUPNORM_GATE.
+    grid is below cdf_supnorm_gate(trials).
     """
 
     metric: str
@@ -289,7 +322,7 @@ def compare(analytic_value, sim: SimStats, metric: str) -> ComparisonReport:
             ci95=None,
             abs_error=sup,
             rel_error=None,
-            passed=sup < CDF_SUPNORM_GATE,
+            passed=sup < cdf_supnorm_gate(sim.trials),
         )
 
     if metric == "mean_D":

@@ -276,14 +276,15 @@ def _lag_weights(headway, shape, mass, coef: float, step: float, upper: float):
         scale = exact / trap
         if not 0.5 <= scale <= 2.0:
             raise NumericError(
-                f"kernel mass {trap!r} vs its integral {exact!r} on [0, {upper!r}]: "
+                f"kernel mass {float(trap)!r} vs its integral {float(exact)!r} on [0, {upper!r}]: "
                 "grid_step too coarse to resolve the hop kernel"
             )
         fvals = fvals * scale
         f_up *= scale
     if 1.0 - coef * step * 0.5 * fvals[0] < 0.1:
         raise NumericError(
-            f"grid_step {step!r} too coarse for density {fvals[0]!r} at 0; implicit step ill-conditioned"
+            f"grid_step {step!r} too coarse for density {float(fvals[0])!r} at 0; "
+            "implicit step ill-conditioned"
         )
     tail = 0.5 * r * step * (fvals[K] + f_up * (1.0 - r))
     w = np.append(step * fvals, 0.5 * r * r * step * f_up)
@@ -309,10 +310,6 @@ def _atom_kernel(headway, shape, coef: float, step: float, upper: float):
     np.add.at(w, m + 1, phi * wt)
     dw = np.zeros_like(w)
     np.add.at(dw, m, np.where(phi > 0.0, (phi - 1.0) * wt, 0.0))
-    if 1.0 - coef * w[0] <= 1e-12:
-        raise NumericError(
-            f"implicit atom weight {coef * w[0]!r} at grid index 1 leaves no equation to solve"
-        )
     return w, dw
 
 
@@ -325,12 +322,16 @@ def _march(w, dw, coef: float, const: np.ndarray, clamp: bool = False) -> np.nda
     of its unit lower-triangular Toeplitz matrix. With clamp, each block is
     projected onto F <= 1 (true CDFs obey it, so the projection only
     removes discretization overshoot and projected values no longer feed
-    error back into later convolutions); a real excursion past 1 raises.
+    error back into later convolutions); a real excursion past 1 raises, and
+    so does a singular step, where coef * w[0] reaches 1 (an atom on lag 0).
     """
     from numpy import fft  # loaded on the first solve, not at import
 
     n, k = const.size, w.size - 1
     denom = 1.0 - coef * w[0]
+    if denom <= 1e-12:
+        raise NumericError(f"implicit lag-0 weight {float(coef * w[0])!r} leaves "
+                           "no equation to solve at grid index 1")
     a = (coef / denom) * w
     a[0] = 0.0
     rhs = const / denom

@@ -359,6 +359,17 @@ def test_compare_failure_exits_five(tmp_path, monkeypatch):
     assert status["mean_D"] == "fail"
 
 
+def test_compare_passes_a_correct_curve_at_few_trials(tmp_path):
+    # at 2000 trials the ECDF's own noise exceeds 0.01; the gate widens to the DKW band
+    out = tmp_path / "c.csv"
+    code = main(["compare", *CONTENTION_CFG, "--trials", "2000", "--out", str(out)])
+    assert code == 0
+    _, _, rows, _ = parse(out)
+    row = next(r for r in rows if r[0] == "cdf_supnorm")
+    assert float(row[4]) > 0.01  # a fixed 0.01 gate would fail it
+    assert row[-1] == "pass"
+
+
 def test_numeric_failure_exits_four(tmp_path, monkeypatch):
     def boom(d, m):
         raise NumericError("synthetic quadrature failure")
@@ -484,6 +495,21 @@ def test_cdf_with_only_zero_gaps_is_one_from_the_start(tmp_path):
     _, _, rows, footer = parse(out)
     assert {r[1] for r in rows} == {"1.0"}
     assert footer == ["# sup_norm = 0.0"]
+
+
+def test_printed_form_of_only_zero_gaps_is_a_typed_singular_error(tmp_path, capsys):
+    # the printed recursion carries weight 1 on the atom at 0, so its first
+    # implicit step has no equation to solve; the corrected curve solves
+    out = tmp_path / "z.csv"
+    code = main(["cdf", "--headway", "deterministic", "--spacing", "0", "--ps", "0.5",
+                 "--range", "100", "--ds", "1", "--max-s", "200", "--trials", "1000",
+                 "--printed-form", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "printed CDF recursion is singular" in err
+    assert "weight 1.0 " in err
+    assert "np.float64" not in err
+    assert not out.exists()
 
 
 def test_compare_refuses_a_near_certain_hop_before_simulating(tmp_path, capsys):
