@@ -88,7 +88,10 @@ class HeadwayDistribution(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """One draw (size=None) or an ndarray of draws from H."""
+        """One draw (size=None) or an ndarray of draws from H.
+
+        The ndarray is fresh, sharing no memory with the distribution, so
+        the caller may overwrite it (the simulator does)."""
 
     # Purely atomic families (point mass, resampled data) expose their measure
     # directly so integrals against H can be evaluated as exact sums.
@@ -259,7 +262,9 @@ class LognormalHeadway(HeadwayDistribution):
         return full * _norm_cdf((math.log(upper) - m - k * s * s) / s)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        out = rng.lognormal(self.log_mean, self.log_sd, size=size)
+        # exp of the normal stream: numpy's vectorised exp is faster than the
+        # per-draw exp inside rng.lognormal (a draw may differ by an ulp)
+        out = np.exp(rng.normal(self.log_mean, self.log_sd, size=size))
         return float(out) if size is None else out
 
 

@@ -38,10 +38,10 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 CDF_SUPNORM_FLOOR = 0.01
 CDF_SUPNORM_ALPHA = 1e-3
 # Largest E[N] = q/(1-q), in expected hops per trial, that `run` simulates. A
-# block's time grows linearly with E[N]: one 8192-trial block took 0.14 s at
-# E[N] = 999 and 1.5 s at 9 999 (about 0.15 ms per expected hop; 2-vCPU x86
+# block's time grows linearly with E[N]: one 8192-trial block took 0.16 s at
+# E[N] = 999 and 1.6 s at 9 999 (about 0.16 ms per expected hop; 2-vCPU x86
 # host, exponential gaps). At this limit the default 100 000 trials take about
-# 20 s per worker; as q -> 1 a run would take hours to days.
+# 20 s on one worker; as q -> 1 a run would take hours to days.
 MAX_MEAN_HOPS = 1.0e4
 
 _MAX_SEED = 2 ** 64 - 1
@@ -116,20 +116,25 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block_index))))
     D = np.empty(n)
     N = np.empty(n, dtype=np.int64)
+    # -1, the last hop of each trial closed in a chunk, then n - 1
+    bounds = np.empty(n + 2, dtype=np.intp)
+    bounds[0] = -1
     done, open_d, open_n = 0, 0.0, 0
     while done < n:
-        tau = headway.sample(rng, size=n)
-        fails = ~model.hop_succeeds(tau, rng.random(n))
-        ends = np.flatnonzero(fails)[: n - done]  # the last hop of each trial closed here
+        tau = headway.sample(rng, size=n)  # a fresh array, ours to overwrite
+        ends = np.flatnonzero(~model.hop_succeeds(tau, rng.random(n)))[: n - done]
         k = ends.size
+        b = bounds[: k + 2]
+        b[1:k + 1] = ends
+        b[k + 1] = n - 1
         # hops per trial: k closed ones, their failed hop included, then the
         # open one (once the block's last trial closes, the hops left over)
-        counts = np.diff(ends, prepend=-1, append=n - 1)
-        gain = np.where(fails, 0.0, tau)  # a failed hop adds no distance
+        counts = b[1:] - b[:-1]
+        tau[ends] = 0.0  # a failed hop adds no distance
         # the open trial's partial sum comes first, so every D is the
         # left-to-right sum of its accepted gaps
-        gain[0] += open_d
-        d = np.bincount(np.repeat(np.arange(k + 1), counts), weights=gain, minlength=k + 1)
+        tau[0] += open_d
+        d = np.bincount(np.repeat(np.arange(k + 1), counts), weights=tau, minlength=k + 1)
         counts[0] += open_n
         D[done:done + k] = d[:k]
         N[done:done + k] = counts[:k] - 1
@@ -151,20 +156,25 @@ def _grid_index(grid: np.ndarray, D: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _block_summary(headway, model, seed, block_index, lo, hi, grid):
-    D, N = _simulate_block(headway, model, seed, block_index, hi - lo)
-    s1 = float(np.sum(D))
-    d2 = D * D
-    s2 = float(np.sum(d2))
-    s3 = float(np.sum(d2 * D))
-    s4 = float(np.sum(d2 * d2))
-    sum_n = int(np.sum(N))
-    sum_n2 = int(np.sum(N * N))
-    zeros = int(np.count_nonzero(N == 0))
-    counts = None
+def _run_blocks(cfg, grid, blocks):
+    """Per-block sums of D, D^2, D^3, D^4, N, N^2 and of trials with N = 0,
+    in block order, and the blocks' ECDF histogram on grid (or None).
+
+    The histogram is one integer sum over the blocks, which no order of
+    summation changes, so a group of blocks hands back one, not one per block.
+    """
+    sums, hist = [], None
     if grid is not None:
-        counts = np.bincount(_grid_index(grid, D), minlength=grid.size + 1)[: grid.size]
-    return s1, s2, s3, s4, sum_n, sum_n2, zeros, counts
+        hist = np.zeros(grid.size + 1, dtype=np.int64)
+    for b, lo, hi in blocks:
+        D, N = _simulate_block(cfg.headway, cfg.model, cfg.seed, b, hi - lo)
+        d2 = D * D
+        sums.append((float(np.sum(D)), float(np.sum(d2)), float(np.sum(d2 * D)),
+                     float(np.sum(d2 * d2)), int(np.sum(N)), int(np.sum(N * N)),
+                     int(np.count_nonzero(N == 0))))
+        if hist is not None:
+            hist += np.bincount(_grid_index(grid, D), minlength=grid.size + 1)
+    return sums, hist
 
 
 _JOB = None  # (cfg, grid) in a pool worker, handed over by the fork
@@ -175,16 +185,15 @@ def _set_job(cfg, grid):
     _JOB = cfg, grid
 
 
-def _pool_block(block):
-    cfg, grid = _JOB
-    return _block_summary(cfg.headway, cfg.model, cfg.seed, *block, grid)
+def _pool_group(blocks):
+    return _run_blocks(*_JOB, blocks)
 
 
 def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     """Simulate cfg.trials independent trials.
 
-    workers > 1 distributes blocks over up to `workers` forked worker
-    processes (none where the platform cannot fork, or for a single
+    workers > 1 distributes groups of blocks over up to `workers` forked
+    worker processes (none where the platform cannot fork, or for a single
     block); the result is bit-identical to the in-process run.
 
     Raises DegenerateProcessError, before simulating, where no hop can
@@ -215,30 +224,32 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers == 1:
-        parts = [_block_summary(cfg.headway, cfg.model, cfg.seed, *b, grid) for b in blocks]
+        groups = [_run_blocks(cfg, grid, blocks)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # cfg and grid reach the workers by fork; only blocks and sums are pickled
+        # cfg and grid reach the workers by fork; only blocks and sums are
+        # pickled, and one histogram per group of about a quarter of a
+        # worker's share of the blocks
+        size = math.ceil(len(blocks) / (4 * workers))
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                  initializer=_set_job, initargs=(cfg, grid)) as pool:
-            chunk = math.ceil(len(blocks) / (4 * workers))
-            parts = list(pool.map(_pool_block, blocks, chunksize=chunk))
+            groups = list(pool.map(_pool_group, [blocks[i:i + size]
+                                                 for i in range(0, len(blocks), size)]))
 
     # reduce in block order: float sums stay deterministic under any pool size
     s1 = s2 = s3 = s4 = 0.0
     sum_n = sum_n2 = zeros = 0
-    counts = np.zeros(grid.size, dtype=np.int64) if grid is not None else None
-    for p1, p2, p3, p4, pn, pn2, pz, pc in parts:
-        s1 += p1
-        s2 += p2
-        s3 += p3
-        s4 += p4
-        sum_n += pn
-        sum_n2 += pn2
-        zeros += pz
-        if counts is not None:
-            counts += pc
+    for sums, _ in groups:
+        for p1, p2, p3, p4, pn, pn2, pz in sums:
+            s1 += p1
+            s2 += p2
+            s3 += p3
+            s4 += p4
+            sum_n += pn
+            sum_n2 += pn2
+            zeros += pz
+    counts = sum(hist for _, hist in groups)[: grid.size] if grid is not None else None
 
     n = cfg.trials
     mean = s1 / n

@@ -274,7 +274,9 @@ def _lag_weights(headway, shape, mass, coef: float, step: float, upper: float):
     exact = mass()
     if trap > 0.0 and exact > 0.0:
         scale = exact / trap
-        if not 0.5 <= scale <= 2.0:
+        # a kernel too light to move the curve past the quadrature's absolute
+        # floor (which also bounds the error of `exact`) can be off by any ratio
+        if not 0.5 <= scale <= 2.0 and coef * max(trap, exact) > ABS_FLOOR:
             raise NumericError(
                 f"kernel mass {float(trap)!r} vs its integral {float(exact)!r} on [0, {upper!r}]: "
                 "grid_step too coarse to resolve the hop kernel"

@@ -2,8 +2,11 @@
 
 import argparse
 import ast
+import csv
 import dataclasses
+import io
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -250,6 +253,22 @@ def test_simulate_ecdf_output(tmp_path):
     vals = [float(r[1]) for r in rows]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert abs(vals[0] - 0.1) < 0.02
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[0.0, -0.0, 0.1, 1e-300], [math.inf, -math.inf, math.nan, 2.5e17]]),
+    np.array([[0, -3, 7, 2 ** 40]]),
+    [[1.5, None, "DegenerateProcessError: a, b", 'say "hi"'], [math.inf, 3, None, "plain"]],
+], ids=["floats", "ints", "text_and_none"])
+def test_tables_are_written_byte_for_byte_as_csv_writer_writes_them(tmp_path, rows):
+    header = ["s", "F, quoted", "x", "y"]
+    out = tmp_path / "t.csv"
+    cli._emit(str(out), ["# meta"], header, rows, footer="# end")
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
+    assert out.read_bytes() == ("# meta\n" + buf.getvalue() + "# end\n").encode()
 
 
 def test_simulate_rejects_an_infinite_ecdf_grid(tmp_path, capsys):

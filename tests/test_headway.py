@@ -321,6 +321,29 @@ def test_deterministic_sampling_is_constant():
     assert np.all(out == 50.0)
 
 
+@pytest.mark.parametrize("d", all_families(), ids=repr)
+def test_sample_returns_a_fresh_array_the_caller_may_overwrite(d):
+    rng = np.random.default_rng(9)
+    a, b = d.sample(rng, size=16), d.sample(rng, size=16)
+    assert a.flags.writeable and not np.shares_memory(a, b)
+    for field in vars(d).values():
+        if isinstance(field, np.ndarray):
+            assert not np.shares_memory(a, field)
+    a[:] = -1.0
+    assert float(np.min(d.sample(rng, size=16))) >= 0.0
+
+
+def test_lognormal_draws_are_exp_of_the_normal_stream():
+    d = LognormalHeadway(log_mean=1.5, log_sd=0.6)
+    draws = d.sample(np.random.default_rng(3), size=10_000)
+    normal = np.random.default_rng(3).normal(1.5, 0.6, size=10_000)
+    assert np.array_equal(draws, np.exp(normal))
+    # the same stream as rng.lognormal, up to the last bits of exp
+    lognormal = np.random.default_rng(3).lognormal(1.5, 0.6, size=10_000)
+    assert np.max(np.abs(draws - lognormal) / lognormal) <= 4e-16
+    assert isinstance(d.sample(np.random.default_rng(3)), float)
+
+
 def test_exponential_sample_mean():
     rng = np.random.default_rng(5)
     draws = ExponentialHeadway(rate=0.2).sample(rng, size=1_000_000)

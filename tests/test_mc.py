@@ -124,6 +124,21 @@ def test_chunk_carry_and_cut_match_scalar_reference(headway, model, n):
         assert N.max() > 2 * n  # some trial spans several chunks
 
 
+def test_the_kernel_leaves_its_headway_alone():
+    # the kernel zeroes failed gaps in the array `sample` returns; a family
+    # that handed back its own storage would have it overwritten
+    data = [2.0, 5.0, 5.0, 9.0, 14.0, 33.0]
+    emp = EmpiricalHeadway.from_samples(data)
+    det = DeterministicHeadway(50.0)
+    for d in (emp, det):
+        _, N = _simulate_block(d, LONG, seed=4, block_index=1, n=5)
+        assert N.sum() + 5 > 3 * 5  # several chunks were drawn
+    assert np.array_equal(emp.samples, sorted(data))
+    assert np.array_equal(emp._csum1, np.cumsum(sorted(data)))
+    assert det.spacing == 50.0
+    assert np.all(det.sample(np.random.default_rng(0), size=8) == 50.0)
+
+
 @dataclasses.dataclass(frozen=True)
 class RecordingHeadway(ExponentialHeadway):
     """Exponential gaps that record the size of every draw."""
@@ -180,7 +195,9 @@ def assert_same_stats(a: SimStats, b: SimStats):
               trials=40_000, seed=9, ecdf_grid=(0.5, 300.0)),
     SimConfig(LognormalHeadway(log_mean=1.5, log_sd=0.6), M_EXP,
               trials=3 * BLOCK_TRIALS + 1234, seed=10, ecdf_grid=(0.1, 500.0)),
-], ids=["fading", "six_gaps", "lognormal_partial_block"])
+    # 50 001 bins: each pool task sums its blocks' histograms into one
+    SimConfig(EXP, M_EXP, trials=9 * BLOCK_TRIALS + 5, seed=12, ecdf_grid=(0.01, 500.0)),
+], ids=["fading", "six_gaps", "lognormal_partial_block", "fine_grid"])
 def test_every_field_is_bit_identical_across_workers(cfg):
     base = run(cfg, workers=1)
     for workers in (2, 4):

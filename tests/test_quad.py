@@ -24,6 +24,7 @@ from vanetprop import (
     solve_renewal_cdf,
     success_prob,
 )
+from vanetprop.analytic import hop_failure_prob
 from vanetprop.quad import (
     MONOTONICITY_TOL,
     CdfCurve,
@@ -280,6 +281,17 @@ def test_fading_solve_matches_panjer_lattice_oracle(d, gaps, step, alpha):
 def test_solver_zero_success_probability_is_constant_one():
     curve = solve_renewal_cdf(ExponentialHeadway(rate=0.2), 0.0, 100.0, 1.0, 200.0)
     assert np.all(curve.values == 1.0)
+
+
+def test_a_kernel_too_light_to_move_the_curve_solves_to_one_minus_q():
+    # p(tau) <= exp(-ln2 (20/3)^2) ~ 4e-14 on the support, so the kernel mass
+    # (~7e-15) is below the quadrature's floor: its trapezoid sum and its
+    # integral disagree by a factor of 4, which no grid step can mend
+    d = UniformHeadway(20.0, 22.0)
+    m = FadingModel(1.0, 1.0, 3.0, 2.0, math.log(2.0))
+    curve = cdf(d, m, 0.125, 300.0)
+    fail = hop_failure_prob(d, m)
+    assert float(np.max(np.abs(curve.values - fail))) <= 1e-14
 
 
 def test_solver_degenerate_when_propagation_never_stops():
