@@ -14,8 +14,8 @@ process, 4 numeric failure, 5 comparison failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -38,6 +38,9 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 EXIT_COMPARE = 5
+
+# rows of a numeric table formatted per write
+_CSV_CHUNK_ROWS = 4096
 
 # gap family -> (constructor, its parameters in argument order)
 _HEADWAYS = {
@@ -246,28 +249,26 @@ def _meta_lines(command: str, params: dict) -> list[str]:
 def _emit(out_path, meta: list[str], header: list[str], rows: list | np.ndarray,
           footer: str | None = None) -> None:
     """Write meta lines, header and rows: a list of rows, or a numeric 2-D array."""
-    # csv writes floats with repr, so parsing the file back recovers them
-    # exactly, and None as an empty cell
-    buf = io.StringIO()
-    for line in meta:
-        buf.write(line + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
-        # numbers need no quoting: one "%r,...,%r" format per row writes
-        # what csv.writer does (repr of floats and ints) at less cost
-        fmt = ",".join(["%r"] * rows.shape[1]) + "\n"
-        buf.writelines(fmt % tuple(row) for row in rows.tolist())
-    else:
-        w.writerows(rows)
-    if footer is not None:
-        buf.write(footer + "\n")
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(out_path, "w", encoding="utf-8", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for line in meta:
+            fh.write(line + "\n")
+        # csv writes floats with repr, so parsing the file back recovers them
+        # exactly, and None as an empty cell
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
+            # numbers need no quoting: one "%r,...,%r" format per row writes
+            # what csv.writer does (repr of floats and ints) at less cost;
+            # writing in chunks of rows never holds a fine grid's whole text
+            fmt = ",".join(["%r"] * rows.shape[1]) + "\n"
+            for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+                fh.write("".join([fmt % tuple(row)
+                                  for row in rows[lo:lo + _CSV_CHUNK_ROWS].tolist()]))
+        else:
+            w.writerows(rows)
+        if footer is not None:
+            fh.write(footer + "\n")
 
 
 def _error_code(exc: Exception) -> int:

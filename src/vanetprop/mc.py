@@ -204,7 +204,9 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     fail = hop_failure_prob(cfg.headway, cfg.model)
     if fail <= 0.0:
-        raise DegenerateProcessError("no hop can fail: trials would never terminate")
+        raise DegenerateProcessError(
+            f"hop failure probability 1 - q = {float(fail)!r}: no hop can fail, so trials "
+            "would never terminate")
     if (1.0 - fail) / fail > MAX_MEAN_HOPS:
         raise DegenerateProcessError(
             f"E[N] = {(1.0 - fail) / fail:.4g} expected hops per trial exceeds "

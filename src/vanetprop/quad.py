@@ -20,9 +20,10 @@ f_H * shape (implicit in the tau = 0 endpoint), or two interpolating
 lags per atom, weighted by shape(atom), for atomic laws. Blocks of B grid points are
 solved together, after Hairer, Lubich & Schlichte (SIAM J. Sci. Stat.
 Comput. 6(3), 1985): a block's history is one FFT convolution with the
-solved prefix, the block itself the inverse of its lower-triangular
-Toeplitz matrix. n points and K lags cost O((n/B) K log K + n B), not
-the O(n K) of a point-by-point march.
+solved prefix, and the block itself one causal FFT convolution with the
+inverse of its lower-triangular Toeplitz matrix, the series 1 / (1 - a(z))
+found by Newton doubling. B grows with the K lags (B > K), so n points
+cost O(n log n) at most, not the O(n K) of a point-by-point march.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ ABS_FLOOR = 1e-14
 MAX_PANELS = 2000
 # a decreasing step larger than this is a solver failure, smaller ones are clamped
 MONOTONICITY_TOL = 1e-6
-# grid points the CDF march solves together
-_BLOCK = 256
+# smallest history FFT size of the CDF march, so that a kernel of few lags
+# is not solved in many tiny blocks
+_MIN_FFT = 2048
 
 # equal panels the integrator starts from: one level costs numpy's fixed
 # overhead (~50 us) whatever its size, so a wider first level saves levels
@@ -315,43 +317,62 @@ def _atom_kernel(headway, shape, coef: float, step: float, upper: float):
     return w, dw
 
 
+def _series_inverse(a: np.ndarray, B: int) -> np.ndarray:
+    """The first B terms of 1 / (1 - a(z)), where a[0] = 0, by Newton doubling:
+    g <- g - g ((1 - a) g - 1) mod z^(2m) doubles the m correct terms of g at
+    the cost of two FFT products of size 2m, O(B log B) in all."""
+    from numpy import fft
+
+    one_minus_a = np.zeros(B)
+    one_minus_a[:a.size] = -a[:B]
+    one_minus_a[0] = 1.0
+    g = np.ones(1)
+    while g.size < B:
+        m, m2 = g.size, min(2 * g.size, B)
+        size = 1 << (m2 - 1).bit_length()
+        # at size >= m2 the first product wraps only onto its terms below m,
+        # which are dropped, and the second does not wrap
+        g_hat = fft.rfft(g, size)
+        e = fft.irfft(fft.rfft(one_minus_a[:m2], size) * g_hat, size)[m:m2]
+        g = np.concatenate((g, -fft.irfft(g_hat * fft.rfft(e, size), size)[:m2 - m]))
+    return g
+
+
 def _march(w, dw, coef: float, const: np.ndarray, clamp: bool = False) -> np.ndarray:
     """Solve F_j = const_j + coef * (sum_i w_i F_{j-i} + dw_j F_0) for j >= 1,
     F_0 = const_0, with the lag weights w of `_lag_weights`; lag 0 is implicit.
 
-    Blocks of _BLOCK grid points are solved together: the history from the
-    solved prefix is one FFT convolution, and the block applies the inverse
-    of its unit lower-triangular Toeplitz matrix. With clamp, each block is
-    projected onto F <= 1 (true CDFs obey it, so the projection only
+    Blocks of B grid points are solved together. With K lags (those past
+    n - 1 never act), the history FFT size S is the smallest power of two
+    above 2K, at least _MIN_FFT, and B = S - K, so a block's history is one
+    size-S FFT convolution of the solved prefix with the lags. The block
+    itself is lower-triangular Toeplitz; its inverse applies as one causal
+    FFT convolution with the first B terms of 1 / (1 - a(z)). A kernel with
+    K = n - 1 lags (fading) is solved as one block. With clamp, each block
+    is projected onto F <= 1 (true CDFs obey it, so the projection only
     removes discretization overshoot and projected values no longer feed
     error back into later convolutions); a real excursion past 1 raises, and
     so does a singular step, where coef * w[0] reaches 1 (an atom on lag 0).
     """
     from numpy import fft  # loaded on the first solve, not at import
 
-    n, k = const.size, w.size - 1
+    n = const.size
+    k = min(w.size, n) - 1
     denom = 1.0 - coef * w[0]
     if denom <= 1e-12:
         raise NumericError(f"implicit lag-0 weight {float(coef * w[0])!r} leaves "
                            "no equation to solve at grid index 1")
-    a = (coef / denom) * w
+    a = (coef / denom) * w[:k + 1]
     a[0] = 0.0
     rhs = const / denom
     rhs[0] = const[0]
     rhs[1:dw.size] += (coef / denom) * const[0] * dw[1:n]
 
-    # first column of the block inverse: 1 / (1 - a(z)) to B terms
-    B = min(_BLOCK, n)
-    g = np.zeros(B)
-    g[0] = 1.0
-    for i in range(1, B):
-        t = min(i, k)
-        g[i] = np.dot(a[1:t + 1], g[i - t:i][::-1])
-    lag = np.arange(B)
-    inv = np.tril(g[np.subtract.outer(lag, lag)])
-
-    size = 1 << (k + B - 1).bit_length()
-    a_hat = fft.rfft(a, size)
+    size = max(_MIN_FFT, 1 << (2 * k).bit_length())
+    B = min(size - k, n)
+    g_size = 1 << (2 * B - 2).bit_length()  # g * v to B terms, without wrap
+    g_hat = fft.rfft(_series_inverse(a, B), g_size)
+    a_hat = fft.rfft(a, size) if B < n else None
     F = np.empty(n)
     for lo in range(0, n, B):
         hi = min(lo + B, n)
@@ -360,7 +381,7 @@ def _march(w, dw, coef: float, const: np.ndarray, clamp: bool = False) -> np.nda
             start = max(lo - k, 0)
             hist = fft.irfft(fft.rfft(F[start:lo], size) * a_hat, size)
             v = v + hist[lo - start:hi - start]
-        blk = inv[:hi - lo, :hi - lo] @ v
+        blk = fft.irfft(fft.rfft(v, g_size) * g_hat, g_size)[:hi - lo]
         if clamp:
             over = np.flatnonzero(blk - 1.0 >= MONOTONICITY_TOL)
             if over.size:

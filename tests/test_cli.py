@@ -271,6 +271,24 @@ def test_tables_are_written_byte_for_byte_as_csv_writer_writes_them(tmp_path, ro
     assert out.read_bytes() == ("# meta\n" + buf.getvalue() + "# end\n").encode()
 
 
+def test_a_numeric_table_streams_the_bytes_csv_writer_writes(tmp_path, capsys):
+    # two chunks and a part, with the floats whose repr is least plain
+    n = 2 * cli._CSV_CHUNK_ROWS + 3
+    rows = np.column_stack((np.arange(n) * 0.01, np.linspace(-1.0, 1.0, n), np.zeros(n)))
+    rows[:4, 2] = [-0.0, math.inf, 1e-05, 1e16]
+    rows[-1] = [-0.0, -math.inf, 1e16]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["s", "F", "x"])
+    w.writerows(rows.tolist())
+    want = ("# meta\n" + buf.getvalue() + "# end\n").encode()
+    out = tmp_path / "t.csv"
+    cli._emit(str(out), ["# meta"], ["s", "F", "x"], rows, footer="# end")
+    assert out.read_bytes() == want
+    cli._emit(None, ["# meta"], ["s", "F", "x"], rows, footer="# end")
+    assert capsys.readouterr().out.encode() == want
+
+
 def test_simulate_rejects_an_infinite_ecdf_grid(tmp_path, capsys):
     code = main(["simulate", *EXP_ARGS, "--trials", "100", "--ds", "1", "--max-s", "inf",
                  "--out", str(tmp_path / "s.csv"), "--ecdf-out", str(tmp_path / "e.csv")])
@@ -538,6 +556,16 @@ def test_compare_refuses_a_near_certain_hop_before_simulating(tmp_path, capsys):
                  "--range", "100", "--trials", "1000", "--out", str(out)])
     assert code == 3
     assert "expected hops per trial" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refusal_names_the_failure_probability_it_saw(tmp_path, capsys):
+    # p_s = 1 and every gap within range: 1 - q = 1 - p_s F_H(L) = 0
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--headway", "uniform", "--low", "0", "--high", "10",
+                 "--ps", "1", "--range", "100", "--trials", "1000", "--out", str(out)])
+    assert code == 3
+    assert "1 - q = 0.0: no hop can fail" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -271,9 +271,10 @@ def test_worker_errors_keep_their_exit_codes(tmp_path, monkeypatch, capsys, erro
 
 
 def test_cli_import_loads_no_pool_module():
+    # numpy.fft too: the CDF march loads it on its first solve
     probe = ("import sys, vanetprop.cli; "
              "print(*[m for m in ('concurrent.futures.process', "
-             "'concurrent.futures.thread') if m in sys.modules])")
+             "'concurrent.futures.thread', 'numpy.fft') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -24,11 +24,15 @@ from vanetprop import (
     solve_renewal_cdf,
     success_prob,
 )
+from vanetprop import quad
 from vanetprop.analytic import hop_failure_prob
 from vanetprop.quad import (
     MONOTONICITY_TOL,
     CdfCurve,
+    _lag_weights,
+    _march,
     _repair,
+    _series_inverse,
     integrate,
     integrate_semi_infinite,
 )
@@ -553,6 +557,57 @@ def test_blocked_printed_form_matches_per_step_reference(d, step, L):
         return 1.0 - d.cdf(L)
 
     _agree(solve_printed_cdf(d, p_s, L, step, max_s), _reference(d, 1.0, const, n, step, L))
+
+
+@pytest.mark.parametrize("lags", [4, 300, 1500])
+@pytest.mark.parametrize("B", [1, 2, 3, 255, 1000])
+def test_newton_series_inverse_matches_the_direct_recurrence(B, lags):
+    rng = np.random.default_rng(B + lags)
+    a = rng.random(lags + 1)
+    a[0] = 0.0
+    a *= 0.97 / a.sum()  # sub-stochastic, as every march's lags are
+    g = np.zeros(B)
+    g[0] = 1.0
+    for i in range(1, B):
+        t = min(i, lags)
+        g[i] = np.dot(a[1:t + 1], g[i - t:i][::-1])
+    got = _series_inverse(a, B)
+    assert got.shape == (B,)
+    assert float(np.max(np.abs(got - g))) <= 1e-13 * max(1.0, float(np.max(np.abs(g))))
+
+
+# (law, step, L, max_s, blocks the march takes): few lags and many blocks;
+# several full blocks and a partial one, with a partial panel at L so that
+# the last lag weighs; and K = n - 1 lags in one block
+MARCH_REGIMES = {
+    "small_K": (DeterministicHeadway(spacing=3.3), 0.5, 100.0, 5000.0, lambda b: b >= 4),
+    "full_blocks": (UniformHeadway(low=2.0, high=120.0), 0.06, 97.3, 480.0, lambda b: b >= 3),
+    "one_block": (UniformHeadway(low=2.0, high=20.0), 0.5, 300.0, 300.0, lambda b: b == 1),
+}
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("regime", list(MARCH_REGIMES))
+def test_march_matches_per_step_reference_in_every_block_regime(monkeypatch, regime, clamp):
+    d, step, L, max_s, blocks_ok = MARCH_REGIMES[regime]
+    n = int(math.floor(max_s / step + 1e-9)) + 1
+    sizes = []
+
+    def recorded(a, B):
+        sizes.append(B)
+        return _series_inverse(a, B)
+
+    monkeypatch.setattr(quad, "_series_inverse", recorded)
+    coef, shape, upper, mass = ContentionModel(0.9, L).hop_kernel(d, step, max_s)
+    w, dw = _lag_weights(d, shape, mass, coef, step, upper)
+    g0 = 1.0 - 0.9 * d.cdf(L)
+    got = _march(w, dw, coef, np.full(n, g0), clamp=clamp)
+    assert blocks_ok(math.ceil(n / sizes[0]))
+    if regime == "small_K":
+        assert w.size <= 9
+    if regime == "one_block":
+        assert w.size - 1 >= n - 1
+    _agree(got, _reference(d, coef, lambda j: g0, n, step, L, clamp))
 
 
 def test_solvers_evaluate_the_headway_law_in_array_calls(monkeypatch):
