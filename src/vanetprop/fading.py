@@ -122,18 +122,27 @@ def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],
             upper: float = math.inf):
     """E[g(H); H <= upper] for g mapping an array of gaps to values (a float
     result), or to an (m, gaps) stack (an (m,) array): one weighted sum over the
-    atoms of an atomic family, else one adaptive quadrature of the whole stack."""
+    atoms of an atomic family, else one adaptive quadrature of the whole stack
+    over the support [lo, hi] of the density. A finite [lo, min(hi, upper)] is
+    integrated as it stands, so its edges are panel edges; an infinite one is
+    mapped at the law's scale, tau = lo + mean * x, so that its mass sits near
+    x ~ 1 of the semi-infinite map."""
     at = d.atoms()
     if at is not None:
         values, weights = at
         keep = values <= upper
         return g(values[keep]) @ weights[keep]
 
-    def f(t):
-        return d.pdf(t) * g(t)
+    lo, hi = d.support()
+    hi = min(hi, upper)
+    if hi < math.inf:
+        return integrate(lambda t: d.pdf(t) * g(t), lo, max(lo, hi), rel_tol=_REL_TOL).value
+    s = d.mean()
 
-    if upper < math.inf:
-        return integrate(f, 0.0, upper, rel_tol=_REL_TOL).value
+    def f(x):
+        t = lo + s * x
+        return s * d.pdf(t) * g(t)
+
     return integrate_semi_infinite(f, 0.0, rel_tol=_REL_TOL).value
 
 

@@ -2,8 +2,8 @@
 
 Distances are meters throughout. A headway distribution is supported on
 [0, inf) with finite mean and variance; the analytical layer only ever
-touches it through pdf/cdf, truncated moments and sampling, so adding a
-family means implementing this interface and nothing else.
+touches it through pdf/cdf, its support, truncated moments and sampling,
+so adding a family means implementing this interface and nothing else.
 
 Instances are frozen dataclasses: immutable after construction, so the
 simulator's forked worker processes see exactly the parent's instances.
@@ -99,6 +99,10 @@ class HeadwayDistribution(ABC):
         """(values, weights) when H is purely atomic, else None."""
         return None
 
+    def support(self) -> tuple[float, float]:
+        """(lo, hi): the density vanishes outside [lo, hi]; hi may be inf."""
+        return 0.0, math.inf
+
     # False for atomic laws, whose pdf raises; only bench/tracer.py reads it
     has_density: bool = True
 
@@ -190,6 +194,9 @@ class UniformHeadway(HeadwayDistribution):
 
     def variance(self) -> float:
         return (self.high - self.low) ** 2 / 12.0
+
+    def support(self) -> tuple[float, float]:
+        return self.low, self.high
 
     def truncated_moment(self, order: int, upper: float) -> float:
         _check_order(order)

@@ -11,7 +11,10 @@ any component exceeds an equal share, tolerance / panels, is bisected.
 heavy tail, whose rounding noise then never meets its share.) Starting
 from 32 equal panels saves the levels whose fixed numpy overhead would
 dominate. Semi-infinite integrals are mapped to [0, 1)
-with tau = a + t/(1-t).
+with tau = a + t/(1-t), whose unit scale puts the nodes' weight near
+tau ~ 1; a caller whose integrand has its own scale s rescales first
+(`fading._expect` integrates a headway's infinite support in units of
+its mean, tau = lo + s x), and integrates a finite support as it stands.
 
 The CDF solver lives in `analytic`; `_march` solves its renewal
 equation on a uniform grid as a causal convolution with the lag weights

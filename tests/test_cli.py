@@ -142,6 +142,35 @@ def test_analyze_fading_scenario(tmp_path):
     assert float(rows[0][2]) == pytest.approx(16.0, rel=1e-9)
 
 
+UNIFORM_FADING = ["--scenario", "fading", "--headway", "uniform", "--pt", "1", "--gain", "1",
+                  "--alpha", "1"]
+
+
+@pytest.mark.parametrize("low, high, d0, pth", [
+    (40.0, 44.0, 9.0, 0.05),       # a support narrower than the unit map's node spacing
+    (8.139, 8.651, 7.572, 1.705),  # edges off the quadrature nodes
+])
+def test_analyze_fading_uniform_gaps_give_the_closed_form_q(tmp_path, low, high, d0, pth):
+    out = tmp_path / "u.csv"
+    code = main(["analyze", *UNIFORM_FADING, "--low", str(low), "--high", str(high),
+                 "--d0", str(d0), "--pth", str(pth), "--out", str(out)])
+    assert code == 0
+    _, header, rows, _ = parse(out)
+    k = pth / d0
+    q = (math.exp(-k * low) - math.exp(-k * high)) / (k * (high - low))
+    assert float(rows[0][header.index("q_hop")]) == pytest.approx(q, abs=1e-9)
+
+
+def test_simulate_takes_a_narrow_uniform_support_under_fading(tmp_path):
+    # q = 0.7919: about 4.8 hops per trial
+    out = tmp_path / "s.csv"
+    code = main(["simulate", *UNIFORM_FADING, "--low", "40", "--high", "44", "--d0", "9",
+                 "--pth", "0.05", "--trials", "2000", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    _, header, rows, _ = parse(out)
+    assert float(rows[0][header.index("mean_N")]) > 0.0
+
+
 def test_analyze_non_finite_closed_form_is_a_numeric_error_row(tmp_path):
     # F_P ~ 1e-293: mu_D is finite, its square overflows var_renewal
     out = tmp_path / "f.csv"

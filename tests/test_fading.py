@@ -16,6 +16,7 @@ from vanetprop import (
     LognormalHeadway,
     UniformHeadway,
     ValidationError,
+    cdf,
     distance_stats,
     fading_stats,
     hop_failure_prob,
@@ -141,6 +142,27 @@ def test_fading_stats_takes_one_quadrature(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("d, f", [
+    (ExponentialHeadway(rate=0.01), model()),   # the configs/fading.cfg link budget
+    (ExponentialHeadway(rate=1.0), model()),
+    *((LognormalHeadway(log_mean=1.5, log_sd=0.6), model(c=0.001, alpha=alpha))
+      for alpha in (1.0, 3.5, 6.0)),
+])
+def test_infinite_support_is_mapped_at_the_law_s_scale(monkeypatch, d, f):
+    # tau = mean * x puts the mass near x ~ 1 of the semi-infinite map, so the
+    # sweep's points converge on the first level of 32 panels
+    results = []
+    real = fading_module.integrate_semi_infinite
+
+    def captured(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(fading_module, "integrate_semi_infinite", captured)
+    f.hop_law(d)
+    assert [r.evaluations for r in results] == [15 * 32]
+
+
 def test_heavy_tailed_hop_law_matches_a_log_space_oracle():
     # log_sd = 3 puts the mass of E[H^k p(H)] within ~1e-9 of t = 1 under
     # tau = t/(1-t); per-width error shares exhausted the panels here
@@ -177,6 +199,38 @@ def test_canonical_fading_point_takes_few_levels(monkeypatch):
     fading_stats(model(c=0.001, alpha=2.0), LognormalHeadway(log_mean=1.5, log_sd=0.6))
     assert len(levels) <= 4
     assert evals == [sum(levels)] and evals[0] <= 1200
+
+
+def test_uniform_hop_law_matches_its_closed_form_at_alpha_one():
+    # narrow supports and edges off the quadrature nodes: the support's edges
+    # are the panels' edges, so no node spacing can step over them. q = 1 - F_P
+    # keeps F_P's rounding (~1e-15 absolute), hence the absolute term.
+    rng = np.random.default_rng(20)
+    checked = 0
+    for _ in range(400):
+        low = float(rng.uniform(0.0, 50.0))
+        width = 0.01 if rng.random() < 0.5 else float(rng.uniform(0.01, 30.0))
+        d0, c = float(rng.uniform(1.0, 20.0)), float(rng.uniform(0.001, 3.0))
+        k = c / d0  # q = E[e^{-kH}] at alpha = 1
+        q = (math.exp(-k * low) - math.exp(-k * (low + width))) / (k * width)
+        if q < 1e-6:
+            continue
+        got = model(c=c, d0=d0).hop_law(UniformHeadway(low, low + width))[0]
+        assert got == pytest.approx(q, rel=1e-9, abs=1e-14), (low, width, d0, c)
+        checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("ds", [0.25, 0.125, 0.0625, 0.03125])
+def test_cdf_solves_past_a_uniform_edge_between_grid_points(ds):
+    # the kernel mass E[p; H <= max_s] and 1 - q come from the same support,
+    # so the march no longer overshoots 1
+    d = UniformHeadway(2.197719377303096, 4.1977193773030965)
+    f = model(c=math.log(2.0), d0=3.0)
+    curve = cdf(d, f, ds, 300.0)
+    assert curve.values[0] == pytest.approx(hop_failure_prob(f, d), abs=1e-12)
+    assert np.all(np.diff(curve.values) >= 0.0)
+    assert curve.values[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("d", [

@@ -91,6 +91,16 @@ def test_cdf_integrates_pdf(d):
         assert abs(val - d.cdf(x)) <= 1e-8
 
 
+@pytest.mark.parametrize("d", density_families(), ids=repr)
+def test_support_holds_all_the_density(d):
+    lo, hi = d.support()
+    assert 0.0 <= lo < hi
+    assert d.cdf(lo) == 0.0 and (hi == math.inf or d.cdf(hi) == 1.0)
+    outside = np.append(np.linspace(0.0, lo, 50, endpoint=False) if lo > 0.0 else [],
+                        1.01 * hi + 1.0)
+    assert not np.any(d.pdf(outside))
+
+
 @pytest.mark.parametrize("d", all_families()[-2:], ids=repr)
 def test_atomic_laws_have_no_density(d):
     assert not d.has_density
