@@ -106,8 +106,12 @@ class _Renewal(NamedTuple):
 
 
 def _renewal(d: HeadwayDistribution, m) -> _Renewal:
-    """m's hop law under d and the closed forms both models share; the one degeneracy check."""
-    q, fail, m1, m2 = m.hop_law(d)
+    """m's hop law under d and the closed forms both models share."""
+    return _compound(*m.hop_law(d))
+
+
+def _compound(q: float, fail: float, m1: float, m2: float) -> _Renewal:
+    """The closed forms of the hop law (q, 1 - q, m1, m2); the one degeneracy check."""
     if fail <= 0.0:
         raise DegenerateProcessError(
             f"hop failure probability 1 - q = {fail!r}: every hop succeeds and "

@@ -57,6 +57,18 @@ class _Scenario(NamedTuple):
     link: tuple[str, ...]  # its parameters, in argument order
     columns: dict[str, str]  # `analyze` column -> the stats record field behind it
     stats: Callable        # (headway, model) -> every closed form at one point
+    sweep: Callable        # [(headway, model), ...] -> each point's stats or typed error
+
+
+def _each_point(stats: Callable, points: list) -> list:
+    """stats at each (headway, model) point, or the typed error it raises there."""
+    out = []
+    for d, model in points:
+        try:
+            out.append(stats(d, model))
+        except (ValidationError, DegenerateProcessError, NumericError) as exc:
+            out.append(exc)
+    return out
 
 
 _SCENARIOS = {
@@ -65,12 +77,14 @@ _SCENARIOS = {
         {"mu_D": "mean", "mean_lower": "mean_lower", "mean_upper": "mean_upper",
          "var_paper": "var_paper", "var_renewal": "var_renewal",
          "var_lower": "var_lower", "var_upper": "var_upper", "mu_N": "cluster_size"},
-        lambda d, model: analytic.distance_stats(d, model)),
+        lambda d, model: analytic.distance_stats(d, model),
+        lambda points: _each_point(analytic.distance_stats, points)),
     "fading": _Scenario(
         fading.FadingModel, ("pt", "gain", "d0", "alpha", "pth"),
         {"q_hop": "q_hop", "mu_D": "mean", "var_paper": "var_paper",
          "var_renewal": "var_renewal"},
-        lambda d, model: fading.fading_stats(model, d)),
+        lambda d, model: fading.fading_stats(model, d),
+        lambda points: fading.sweep_stats([(model, d) for d, model in points])),
 }
 
 # config key -> keywords of its --key-name flag. A config file accepts
@@ -283,29 +297,44 @@ def cmd_analyze(params: dict) -> int:
     name, values = _sweep_values(params) or ("point", [None])
     scenario = _SCENARIOS[params["scenario"]]
     table = _ps_table(params)
+    # each parameter typed once; one that does not type stays as given, so
+    # that every point raises its error again, in the order the builders read
+    typed = dict(params)
+    for key in _read_params(params):
+        with contextlib.suppress(ValidationError):
+            typed[key] = _get(params, key)
+    # only the object the swept parameter belongs to is rebuilt per point
+    new_headway = name in _headway_keys(params)
+    new_model = name in _link_keys(params)
+    points = []  # per value: (headway, model), or the typed error building them raised
+    d = model = None
+    for v in values:
+        point = typed if v is None else {**typed, name: v}
+        try:
+            if d is None or new_headway:
+                d = _build_headway(point)
+            if model is None or new_model:
+                model = _build_model(point, table)
+            points.append((d, model))
+        except ValidationError as exc:
+            points.append(exc)
+    # the built points' stats, or typed errors, in the order of the points
+    results = iter(scenario.sweep([p for p in points if not isinstance(p, Exception)]))
     rows = []
     code = EXIT_OK
-    d = None
-    for v in values:
-        point = dict(params)
-        if v is not None:
-            point[name] = v
+    for v, p in zip(values, points):
         label = 0.0 if v is None else v
-        try:
-            # one headway serves every point unless the sweep varies it
-            if d is None or name in _headway_keys(params):
-                d = _build_headway(point)
-            st = scenario.stats(d, _build_model(point, table))
-            values = [getattr(st, field) for field in scenario.columns.values()]
-            bad = [f"{k} = {v!r}" for k, v in zip(scenario.columns, values)
-                   if not math.isfinite(v)]
-            if bad:
-                raise NumericError(f"non-finite closed form: {', '.join(bad)}")
-            rows.append((label, *values, None))
-        except (ValidationError, DegenerateProcessError, NumericError) as exc:
-            rows.append((label, *[None] * len(scenario.columns), f"{type(exc).__name__}: {exc}"))
-            if code == EXIT_OK:
-                code = _error_code(exc)
+        st = p if isinstance(p, Exception) else next(results)
+        if not isinstance(st, Exception):
+            cells = [getattr(st, field) for field in scenario.columns.values()]
+            bad = [f"{k} = {c!r}" for k, c in zip(scenario.columns, cells) if not math.isfinite(c)]
+            if not bad:
+                rows.append((label, *cells, None))
+                continue
+            st = NumericError(f"non-finite closed form: {', '.join(bad)}")
+        rows.append((label, *[None] * len(scenario.columns), f"{type(st).__name__}: {st}"))
+        if code == EXIT_OK:
+            code = _error_code(st)
     _emit(params.get("out"), _meta_lines("analyze", params),
           [name, *scenario.columns, "error"], rows)
     return code

@@ -12,6 +12,11 @@ to the compound-geometric core in `analytic`, and its hop kernel
 f_H p on [0, max_s] to the CDF solver `analytic.cdf`; the functions here
 are that core under fading names.
 
+`sweep_stats` evaluates many points, as `analyze` sweeps do: the first
+quadrature level of up to _CHUNK density points at once, and every
+point that level does not settle alone, so its record or error is the
+one `fading_stats` gives.
+
 As with the contention model, the printed variance identity
 (`variance_fading_paper`, no mean-square term) and the
 compound-geometric one (`variance_fading_renewal`) are both exposed and
@@ -27,10 +32,10 @@ from typing import Callable
 import numpy as np
 
 from . import analytic
-from .analytic import _renewal
-from .errors import ValidationError
+from .analytic import _compound, _renewal
+from .errors import DegenerateProcessError, NumericError, ValidationError
 from .headway import HeadwayDistribution
-from .quad import integrate, integrate_semi_infinite
+from .quad import first_level_semi_infinite, integrate, integrate_semi_infinite
 
 __all__ = [
     "FadingModel",
@@ -46,6 +51,10 @@ __all__ = [
 # headway densities are smooth; push the quadrature well below the 1e-9
 # closed-form acceptance tolerance
 _REL_TOL = 1e-11
+
+# sweep points whose first quadrature levels are evaluated together: a level
+# holds 3 x 480 values per point, and chunks keep a long sweep's arrays small
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -87,15 +96,16 @@ class FadingModel:
 
     def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
         """(1 - F_P, F_P, E[H p_s(H)], E[H^2 p_s(H)]): one stacked expectation under d."""
-        def stack(t):
-            x = self._exponent(t)
-            p = np.exp(-x)
-            # 1 - exp(-x) via expm1: the naive form loses all precision for the
-            # near-transparent channels the consistency checks use
-            return np.array((-np.expm1(-x), t * p, t * t * p))
-
-        fail, m1, m2 = _expect(d, stack).tolist()
+        fail, m1, m2 = _expect(d, self._hop_stack).tolist()
         return 1.0 - fail, fail, m1, m2
+
+    def _hop_stack(self, t: np.ndarray) -> np.ndarray:
+        """(1 - p_s, tau p_s, tau^2 p_s) at the gaps t: the integrands of `hop_law`."""
+        x = self._exponent(t)
+        p = np.exp(-x)
+        # 1 - exp(-x) via expm1: the naive form loses all precision for the
+        # near-transparent channels the consistency checks use
+        return np.array((-np.expm1(-x), t * p, t * t * p))
 
     def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
         """f_H p on [0, max_s]: (p(0) = 1, shape p, upper max_s, mass E[p(H); H <= max_s]
@@ -137,13 +147,19 @@ def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],
     hi = min(hi, upper)
     if hi < math.inf:
         return integrate(lambda t: d.pdf(t) * g(t), lo, max(lo, hi), rel_tol=_REL_TOL).value
+    return integrate_semi_infinite(_mean_scaled(d, lo, g), 0.0, rel_tol=_REL_TOL).value
+
+
+def _mean_scaled(d: HeadwayDistribution, lo: float, g: Callable[[np.ndarray], np.ndarray]):
+    """x -> s f_H(t) g(t) at t = lo + s x, s = d.mean(): E[g(H)] over [lo, inf)
+    as an integral over x in [0, inf)."""
     s = d.mean()
 
     def f(x):
         t = lo + s * x
         return s * d.pdf(t) * g(t)
 
-    return integrate_semi_infinite(f, 0.0, rel_tol=_REL_TOL).value
+    return f
 
 
 def hop_failure_prob(f: FadingModel, d: HeadwayDistribution) -> float:
@@ -178,5 +194,54 @@ class FadingStats:
 
 
 def fading_stats(f: FadingModel, d: HeadwayDistribution) -> FadingStats:
-    r = _renewal(d, f)
+    return _record(_renewal(d, f))
+
+
+def _record(r: analytic._Renewal) -> FadingStats:
     return FadingStats(r.q, r.mean, r.second, r.var_renewal, r.cluster_size)
+
+
+def sweep_stats(points: list[tuple[FadingModel, HeadwayDistribution]]) -> list:
+    """`fading_stats(f, d)` at each (f, d) of points, in order, or in its place
+    the ValidationError, DegenerateProcessError or NumericError it raises.
+
+    The hop law of a density on [lo, inf) is one mapped quadrature (`_expect`)
+    that mostly stops on its first level. Points are taken in chunks of
+    _CHUNK: the first levels of a chunk's such points are evaluated and summed
+    together (`quad.first_level_semi_infinite`), each point's integrand op for
+    op the one `hop_law` integrates, and each point whose own stop test passes
+    keeps its value. Every other point goes through `fading_stats`: atomic
+    and finite-support laws, points that need a second level, and every
+    point of a chunk where an integrand is non-finite or raises, so that such
+    a point meets its own error.
+    """
+    out = []
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start:start + _CHUNK]
+        for (f, d), law in zip(chunk, _first_level_laws(chunk)):
+            try:
+                out.append(fading_stats(f, d) if law is None else _record(_compound(*law)))
+            except (ValidationError, DegenerateProcessError, NumericError) as exc:
+                out.append(exc)
+    return out
+
+
+def _first_level_laws(chunk: list[tuple[FadingModel, HeadwayDistribution]]) -> list:
+    """f.hop_law(d) for each (f, d) of chunk whose quadrature stops on its first
+    level, None for the others."""
+    laws = [None] * len(chunk)
+    mapped = [i for i, (_, d) in enumerate(chunk)
+              if d.atoms() is None and d.support()[1] == math.inf]
+    if not mapped:
+        return laws
+    try:
+        fs = [_mean_scaled(d, d.support()[0], f._hop_stack)
+              for f, d in (chunk[i] for i in mapped)]
+        values = first_level_semi_infinite(fs, 0.0, _REL_TOL)
+    except (ValidationError, NumericError):
+        return laws
+    for i, v in zip(mapped, values):
+        if v is not None:
+            fail, m1, m2 = v.tolist()
+            laws[i] = (1.0 - fail, fail, m1, m2)
+    return laws

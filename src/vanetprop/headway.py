@@ -11,13 +11,14 @@ simulator's forked worker processes see exactly the parent's instances.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedOrderError, ValidationError
+from .errors import NumericError, UnsupportedOrderError, ValidationError
 
 __all__ = [
     "HeadwayDistribution",
@@ -32,9 +33,39 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
+# below this z, Phi(z) = 0.5 erfc(-z / sqrt 2) is under ~1e-300 and loses
+# digits to subnormal rounding; its log goes by the asymptotic series instead
+_LOG_PHI_SERIES_Z = -37.0
+# below this x = rate * upper the exponential moments' closed forms cancel
+_EXP_SERIES_X = 1.0
+
+
 def _norm_cdf(z: float) -> float:
     # erfc keeps relative precision in the lower tail, where 1 + erf(x) cancels
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _log_norm_cdf(z: float) -> float:
+    """log Phi(z), also where Phi(z) underflows: there Mills' asymptotic series
+    Phi(z) = phi(z) / |z| * (1 - 1/z^2 + 3/z^4 - 15/z^6 + ...), whose terms
+    shrink below 1e-17 within a dozen at z < -37."""
+    if z > _LOG_PHI_SERIES_Z:
+        return math.log(_norm_cdf(z))
+    r = 1.0 / (z * z)
+    total, term, n = 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * n - 1) * r
+        total += term
+        n += 1
+    return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(total)
+
+
+def _exp(log_value: float, what: str) -> float:
+    """exp(log_value), or NumericError where that overflows a float."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericError(f"{what} = exp({log_value!r}) overflows a float") from None
 
 
 def _args(x) -> np.ndarray:
@@ -140,18 +171,35 @@ class ExponentialHeadway(HeadwayDistribution):
         return 1.0 / self.rate
 
     def variance(self) -> float:
-        return 1.0 / self.rate ** 2
+        r2 = self.rate ** 2
+        if not r2 > 0.0 or 1.0 / r2 == math.inf:
+            raise NumericError(f"variance 1 / rate^2 at rate {self.rate!r} overflows a float")
+        return 1.0 / r2
 
     def truncated_moment(self, order: int, upper: float) -> float:
-        """Integration by parts:
+        """Integration by parts, for x = rU >= 1:
 
-        I1(U) = (1 - e^{-rU}(1 + rU)) / r
-        I2(U) = (2 - e^{-rU}((rU)^2 + 2rU + 2)) / r^2
+        I1(U) = (1 - e^{-x}(1 + x)) / r
+        I2(U) = (2 - e^{-x}(x^2 + 2x + 2)) / r^2
+
+        Below x = 1 those differences cancel (I2 loses all its digits by
+        x ~ 1e-5), so I_k(U) = k! P(k+1, x) / r^k goes by the series of the
+        regularized lower incomplete gamma, P(a, x) = x^a e^{-x} / Gamma(a+1)
+        * sum_n x^n / ((a+1)...(a+n)), written as r U^{k+1} e^{-x} / (k+1) *
+        sum_n ..., which never forms r^k.
         """
         _check_order(order)
         _check_upper(upper)
         x = self.rate * upper
         e = math.exp(-x)
+        if x < _EXP_SERIES_X:
+            a = order + 1
+            total, term, n = 1.0, 1.0, 1
+            while term > 1e-17 * total:
+                term *= x / (a + n)
+                total += term
+                n += 1
+            return self.rate * upper ** a * e / a * total
         if order == 1:
             return (1.0 - e * (1.0 + x)) / self.rate
         return (2.0 - e * (x * x + 2.0 * x + 2.0)) / self.rate ** 2
@@ -239,25 +287,46 @@ class LognormalHeadway(HeadwayDistribution):
         f = np.exp(-0.5 * z * z) / (safe * self.log_sd * math.sqrt(2.0 * math.pi))
         return _like(np.where(pos, f, 0.0))
 
+    def _cdf(self, v: float) -> float:
+        if not v > 0:
+            return 0.0
+        return _norm_cdf((math.log(v) - self.log_mean) / self.log_sd)
+
     def cdf(self, x):
+        if isinstance(x, (int, float)):
+            return self._cdf(float(x))
         x = _args(x)
-        m, s = self.log_mean, self.log_sd
         # numpy has no erfc; math.erfc per element keeps the lower tail exact
-        F = [_norm_cdf((math.log(v) - m) / s) if v > 0 else 0.0 for v in x.ravel().tolist()]
+        F = [self._cdf(v) for v in x.ravel().tolist()]
         return _like(np.array(F).reshape(x.shape))
 
     def mean(self) -> float:
-        return math.exp(self.log_mean + 0.5 * self.log_sd ** 2)
+        return _exp(self.log_mean + 0.5 * self.log_sd ** 2, "lognormal mean")
 
     def variance(self) -> float:
         s2 = self.log_sd ** 2
-        return math.expm1(s2) * math.exp(2.0 * self.log_mean + s2)
+        with contextlib.suppress(OverflowError):
+            v = math.expm1(s2) * math.exp(2.0 * self.log_mean + s2)
+            if v < math.inf:
+                return v
+        # a factor or the product overflowed: the same product in logs, where
+        # log expm1(s2) = s2 to double precision once s2 > 700
+        if s2 > 700.0:
+            log_expm1 = s2
+        elif s2 > 0.0:
+            log_expm1 = math.log(math.expm1(s2))
+        else:
+            return 0.0  # log_sd^2 underflowed
+        return _exp(2.0 * self.log_mean + s2 + log_expm1, "lognormal variance")
 
     def truncated_moment(self, order: int, upper: float) -> float:
         """Truncated-lognormal identity:
 
         integral_0^U x^k f(x) dx
             = exp(k*m + k^2 s^2 / 2) * Phi((ln U - m - k s^2) / s)
+
+        Where exp(k*m + k^2 s^2 / 2) overflows, the product is taken in logs;
+        NumericError if the moment itself overflows.
         """
         _check_order(order)
         _check_upper(upper)
@@ -265,13 +334,20 @@ class LognormalHeadway(HeadwayDistribution):
             return 0.0
         k = float(order)
         m, s = self.log_mean, self.log_sd
-        full = math.exp(k * m + 0.5 * (k * s) ** 2)
-        return full * _norm_cdf((math.log(upper) - m - k * s * s) / s)
+        z = (math.log(upper) - m - k * s * s) / s
+        try:
+            full = math.exp(k * m + 0.5 * (k * s) ** 2)
+        except OverflowError:
+            return _exp(k * m + 0.5 * (k * s) ** 2 + _log_norm_cdf(z),
+                        f"lognormal truncated moment of order {order}")
+        return full * _norm_cdf(z)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         # exp of the normal stream: numpy's vectorised exp is faster than the
-        # per-draw exp inside rng.lognormal (a draw may differ by an ulp)
-        out = np.exp(rng.normal(self.log_mean, self.log_sd, size=size))
+        # per-draw exp inside rng.lognormal (a draw may differ by an ulp); a
+        # draw past e^709 is an infinite gap, which no hop crosses
+        with np.errstate(over="ignore"):
+            out = np.exp(rng.normal(self.log_mean, self.log_sd, size=size))
         return float(out) if size is None else out
 
 

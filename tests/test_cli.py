@@ -19,14 +19,19 @@ import pytest
 import vanetprop.cli as cli
 from vanetprop import (
     ContentionModel,
+    DegenerateProcessError,
+    DeterministicHeadway,
     EmpiricalHeadway,
     ExponentialHeadway,
     FadingModel,
+    LognormalHeadway,
     NumericError,
+    UniformHeadway,
     ValidationError,
     mean_cluster_size,
     mean_distance,
 )
+from vanetprop import fading as fading_module
 from vanetprop.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -191,6 +196,154 @@ def test_fading_analyze_sweep_reruns_are_byte_identical(tmp_path):
     assert main([*argv, "--out", str(a)]) == 0
     assert main([*argv, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------- a sweep row is its point's value
+
+LOGN = ["--headway", "lognormal", "--log-mean", "1.5", "--log-sd", "0.6"]
+LINK = ["--pt", "1", "--gain", "1", "--d0", "1", "--alpha", "2", "--pth", "0.001"]
+CONT = ["--ps", "0.9", "--range", "100"]
+
+
+def fm(alpha=2.0, pth=0.001):
+    return FadingModel(1.0, 1.0, 1.0, alpha, pth)
+
+
+CM = ContentionModel(0.9, 100.0)
+CANONICAL_FADING = FadingModel(1.0, 1.0, 1.0, 1.0, 0.05)  # configs/fading.cfg
+
+
+@pytest.mark.parametrize("argv, make", [
+    pytest.param(["--scenario", "fading", *LOGN, *LINK, "--sweep", "alpha", "0.5", "6.5", "25"],
+                 lambda v: (LognormalHeadway(1.5, 0.6), fm(alpha=v)), id="fading-alpha"),
+    pytest.param(["--scenario", "fading", *LOGN, *LINK, "--sweep", "pth", "1e-8", "10", "30",
+                  "--log-sweep"],
+                 lambda v: (LognormalHeadway(1.5, 0.6), fm(pth=v)), id="fading-pth"),
+    pytest.param(["--config", str(CONFIGS / "fading.cfg"), "--sweep", "rate", "0.01", "1",
+                  "40", "--log-sweep"],
+                 lambda v: (ExponentialHeadway(v), CANONICAL_FADING), id="fading-rate"),
+    pytest.param(["--config", str(CONFIGS / "fading.cfg"), "--sweep", "rate", "0.01", "1",
+                  str(fading_module._CHUNK + 1)],
+                 lambda v: (ExponentialHeadway(v), CANONICAL_FADING), id="fading-chunk-plus-one"),
+    pytest.param(["--scenario", "fading", *LOGN, *LINK, "--sweep", "log_sd", "0.1", "3", "20"],
+                 lambda v: (LognormalHeadway(1.5, v), fm()), id="fading-log-sd"),
+    # the integrand overflows at the two largest log means, and their rows
+    # carry the NumericError of the non-finite values
+    pytest.param(["--scenario", "fading", *LOGN, *LINK, "--sweep", "log_mean", "1", "700", "4"],
+                 lambda v: (LognormalHeadway(v, 0.6), fm()), id="fading-log-mean-to-700",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                                  "ignore:invalid value:RuntimeWarning")),
+    pytest.param(["--scenario", "fading", "--headway", "uniform", "--low", "2", "--high", "20",
+                  *LINK, "--sweep", "high", "1", "60", "8"],
+                 lambda v: (UniformHeadway(2.0, v), fm()), id="fading-uniform-high"),
+    pytest.param(["--scenario", "fading", "--headway", "deterministic", "--spacing", "5",
+                  *LINK, "--sweep", "spacing", "0", "60", "7"],
+                 lambda v: (DeterministicHeadway(v), fm()), id="fading-spacing"),
+    pytest.param(["--headway", "exponential", "--rate", "0.2", *CONT,
+                  "--sweep", "rate", "1e-300", "10", "12", "--log-sweep"],
+                 lambda v: (ExponentialHeadway(v), CM), id="contention-rate"),
+    pytest.param([*LOGN, *CONT, "--sweep", "log_sd", "0.1", "40", "30"],
+                 lambda v: (LognormalHeadway(1.5, v), CM), id="contention-log-sd"),
+    pytest.param(["--headway", "uniform", "--low", "2", "--high", "20", *CONT,
+                  "--sweep", "high", "1", "150", "9"],
+                 lambda v: (UniformHeadway(2.0, v), CM), id="contention-uniform-high"),
+    pytest.param(["--headway", "deterministic", "--spacing", "5", *CONT,
+                  "--sweep", "spacing", "0", "150", "7"],
+                 lambda v: (DeterministicHeadway(v), CM), id="contention-spacing"),
+    # typed errors: validation first (exit 2), degeneracy first (exit 3), and a
+    # fixed model or headway that fails at every point of the other's sweep
+    pytest.param(["--headway", "uniform", "--low", "0", "--high", "10", "--range", "100",
+                  "--sweep", "ps", "-0.5", "1.5", "5"],
+                 lambda v: (UniformHeadway(0.0, 10.0), ContentionModel(v, 100.0)),
+                 id="validation-then-degenerate"),
+    pytest.param(["--headway", "uniform", "--low", "0", "--high", "10", "--range", "100",
+                  "--sweep", "ps", "1", "1.5", "2"],
+                 lambda v: (UniformHeadway(0.0, 10.0), ContentionModel(v, 100.0)),
+                 id="degenerate-then-validation"),
+    pytest.param(["--headway", "exponential", "--rate", "0.2", "--ps", "1.5", "--range", "100",
+                  "--sweep", "rate", "0.1", "1", "3"],
+                 lambda v: (ExponentialHeadway(v), ContentionModel(1.5, 100.0)),
+                 id="fixed-model-fails"),
+    pytest.param(["--scenario", "fading", "--headway", "uniform", "--low", "5", "--high", "2",
+                  *LINK, "--sweep", "alpha", "1", "6", "3"],
+                 lambda v: (UniformHeadway(5.0, 2.0), fm(alpha=v)), id="fixed-headway-fails"),
+])
+def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, argv, make):
+    # the sweep builds only what a point varies and shares the fading points'
+    # first quadrature level; each row must still be, to the byte, the closed
+    # forms of the library at that point, or the typed error they raise
+    out = tmp_path / "s.csv"
+    code = main(["analyze", *argv, "--out", str(out)])
+    params = cli._resolve(cli._build_parser().parse_args(["analyze", *argv]))
+    name, values = cli._sweep_values(params)
+    scenario = cli._SCENARIOS[params["scenario"]]
+    expected, codes = [], []
+    for v in values:
+        try:
+            d, model = make(v)
+            st = scenario.stats(d, model)
+        except (ValidationError, DegenerateProcessError, NumericError) as exc:
+            expected.append([repr(v), *[""] * len(scenario.columns),
+                             f"{type(exc).__name__}: {exc}"])
+            codes.append(cli._error_code(exc))
+            continue
+        cells = [getattr(st, field) for field in scenario.columns.values()]
+        assert all(math.isfinite(c) for c in cells)
+        expected.append([repr(v), *map(repr, cells), ""])
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    rows = list(csv.reader(body))
+    assert rows[0] == [name, *scenario.columns, "error"]
+    assert rows[1:] == expected
+    assert code == (codes[0] if codes else 0)
+
+
+def test_a_parameter_that_does_not_type_fails_every_point(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scenario = fading\nheadway = exponential\nrate = 0.2\n"
+                   "pt = 1\ngain = 1\nd0 = 1\nalpha = 1\npth = 0.o5\n")
+    out = tmp_path / "s.csv"
+    assert main(["analyze", "--config", str(cfg), "--sweep", "rate", "0.1", "1", "3",
+                 "--out", str(out)]) == 2
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [r[-1] for r in csv.reader(body[1:])] == [
+        "ValidationError: parameter 'pth' must be a number, got '0.o5'"] * 3
+
+
+# a lognormal law whose moments overflow a float: an error row (exit 4) in
+# analyze; simulate needs only truncated moments, taken in logs
+HEAVY = [["--log-mean", "1.5", "--log-sd", "20"], ["--log-mean", "700", "--log-sd", "3"]]
+
+
+@pytest.mark.parametrize("law, message", [
+    (HEAVY[0], "NumericError: lognormal variance = exp(803.0) overflows a float"),
+    (HEAVY[1], "NumericError: lognormal variance = exp(1417.9998765825803) overflows a float"),
+])
+def test_analyze_heavy_lognormal_point_is_a_numeric_error_row(tmp_path, law, message):
+    out = tmp_path / "h.csv"
+    assert main(["analyze", "--headway", "lognormal", *law, *CONT, "--out", str(out)]) == 4
+    _, _, rows, _ = parse(out)
+    assert rows[0][-1] == message
+
+
+def test_analyze_heavy_lognormal_sweep_keeps_its_finite_rows(tmp_path):
+    out = tmp_path / "h.csv"
+    assert main(["analyze", *LOGN, *CONT, "--sweep", "log_sd", "1", "40", "4",
+                 "--out", str(out)]) == 4
+    _, _, rows, _ = parse(out)
+    assert [r[0] for r in rows] == ["1.0", "14.0", "27.0", "40.0"]
+    assert all(math.isfinite(float(c)) for r in rows[:2] for c in r[1:-1])
+    assert [r[-1] for r in rows] == [
+        "", "", "NumericError: lognormal variance = exp(1461.0) overflows a float",
+        "NumericError: lognormal mean = exp(801.5) overflows a float"]
+
+
+@pytest.mark.parametrize("law", HEAVY)
+def test_simulate_takes_a_heavy_lognormal_law(tmp_path, law):
+    out = tmp_path / "h.csv"
+    assert main(["simulate", "--headway", "lognormal", *law, *CONT, "--trials", "2000",
+                 "--seed", "3", "--out", str(out)]) == 0
+    _, header, rows, _ = parse(out)
+    assert all(math.isfinite(float(c)) for c in rows[0])
 
 
 def test_analyze_rejects_unknown_sweep_name(tmp_path):

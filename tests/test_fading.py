@@ -14,6 +14,7 @@ from vanetprop import (
     ExponentialHeadway,
     FadingModel,
     LognormalHeadway,
+    NumericError,
     UniformHeadway,
     ValidationError,
     cdf,
@@ -164,8 +165,10 @@ def test_infinite_support_is_mapped_at_the_law_s_scale(monkeypatch, d, f):
 
 
 def test_heavy_tailed_hop_law_matches_a_log_space_oracle():
-    # log_sd = 3 puts the mass of E[H^k p(H)] within ~1e-9 of t = 1 under
-    # tau = t/(1-t); per-width error shares exhausted the panels here
+    # log_sd = 3 spreads the law over e^(1.5 +- 9). `_expect` maps it at its
+    # mean, tau = e^6 x (about 403 x), and x = t/(1-t): the mass of F_P and of
+    # E[H p(H)] spans t from ~0.35 to ~1 - 3e-4, and that of E[H^2 p(H)] sits
+    # within ~6e-3 of t = 1, so the panels must resolve a tail at every scale
     d = LognormalHeadway(log_mean=1.5, log_sd=3.0)
     f = model(c=1e-6, alpha=1.0, d0=3.0)
     _, fail, m1, m2 = f.hop_law(d)
@@ -199,6 +202,35 @@ def test_canonical_fading_point_takes_few_levels(monkeypatch):
     fading_stats(model(c=0.001, alpha=2.0), LognormalHeadway(log_mean=1.5, log_sd=0.6))
     assert len(levels) <= 4
     assert evals == [sum(levels)] and evals[0] <= 1200
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_sweep_stats_is_fading_stats_at_each_point():
+    # chunks mixing mapped laws that stop on the first level, mapped laws that
+    # refine, finite, atomic and degenerate laws, and a non-finite integrand
+    laws = [ExponentialHeadway(rate=0.2), LognormalHeadway(log_mean=1.5, log_sd=0.6),
+            LognormalHeadway(log_mean=1.5, log_sd=3.0), UniformHeadway(low=2.0, high=20.0),
+            DeterministicHeadway(spacing=5.0), DeterministicHeadway(spacing=0.0),
+            EmpiricalHeadway.from_samples([1.0, 2.0, 9.0]), ExponentialHeadway(rate=1e-3)]
+    points = [(model(c=c, alpha=a), d) for d in laws for c, a in ((0.05, 1.0), (1e-3, 6.0))]
+    first = fading_module._first_level_laws(points[:fading_module._CHUNK])
+    assert any(first) and not all(first)
+    # a second chunk that goes point by point
+    points += [(model(c=1e-3, alpha=2.0), LognormalHeadway(log_mean=700.0, log_sd=0.6)),
+               points[0]]
+
+    def alone(f, d):
+        try:
+            return repr(fading_stats(f, d))
+        except (DegenerateProcessError, NumericError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    got = [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else repr(r)
+           for r in fading_module.sweep_stats(points)]
+    assert got == [alone(f, d) for f, d in points]
+    assert any(g.startswith("NumericError: integrand") for g in got)
+    assert any(g.startswith("DegenerateProcessError") for g in got)
 
 
 def test_uniform_hop_law_matches_its_closed_form_at_alpha_one():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,11 +16,13 @@ from vanetprop import (
     ExponentialHeadway,
     HeadwayDistribution,
     LognormalHeadway,
+    NumericError,
     UniformHeadway,
     UnsupportedOrderError,
     ValidationError,
     load_headway_file,
 )
+from vanetprop import headway as headway_module
 
 # frozen closed-form values, double checked against scipy quadrature below
 EXP02_I1_100 = 4.999999783578869   # (1 - e^{-20} * 21) / 0.2
@@ -189,6 +192,55 @@ def test_truncated_moment_spot_values():
     assert det.truncated_moment(1, 100.0) == 50.0
     assert det.truncated_moment(2, 100.0) == 2500.0
     assert det.truncated_moment(1, 49.0) == 0.0
+
+
+@pytest.mark.parametrize("rate", [1e-8, 1e-7, 1e-6, 1e-4, 0.0099, 0.0101, 0.05, 0.2])
+@pytest.mark.parametrize("order", [1, 2])
+def test_exponential_truncated_moment_matches_the_incomplete_gamma(rate, order):
+    # I_k(U) = k! P(k+1, rU) / r^k. Below rU = 1 the closed form's differences
+    # cancel: I2 was off by 0.33 at rate 1e-7 and by all its digits at 1e-8
+    upper = 100.0
+    oracle = math.factorial(order) * scipy.special.gammainc(order + 1, rate * upper) / rate ** order
+    assert ExponentialHeadway(rate).truncated_moment(order, upper) == pytest.approx(oracle, rel=1e-13)
+
+
+def test_exponential_truncated_moment_where_rate_squared_underflows():
+    # rate^2 = 0 in doubles; I_k(U) -> r U^{k+1} / (k+1) as rU -> 0, and the
+    # incomplete gamma itself underflows here, so the limit is the oracle
+    d = ExponentialHeadway(1e-300)
+    assert d.truncated_moment(1, 100.0) == pytest.approx(1e-300 * 100.0 ** 2 / 2, rel=1e-15)
+    assert d.truncated_moment(2, 100.0) == pytest.approx(1e-300 * 100.0 ** 3 / 3, rel=1e-15)
+
+
+@pytest.mark.parametrize("z", [-1e4, -300.0, -50.0, -37.0001, -37.0, -36.9999, -20.0, -5.0, 0.0, 4.0])
+def test_log_normal_cdf_matches_scipy_where_the_cdf_underflows(z):
+    assert headway_module._log_norm_cdf(z) == pytest.approx(scipy.special.log_ndtr(z), rel=1e-14)
+
+
+@pytest.mark.parametrize("log_mean, log_sd", [(1.5, 20.0), (1.5, 30.0), (700.0, 3.0), (-800.0, 27.0)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_lognormal_truncated_moment_where_its_full_moment_overflows(log_mean, log_sd, order):
+    # exp(k m + k^2 s^2 / 2) overflows a float (for all but (1.5, 20) at k = 1);
+    # the truncated moment is at most U^k and is taken in logs
+    upper = 100.0
+    z = (math.log(upper) - log_mean - order * log_sd ** 2) / log_sd
+    oracle = math.exp(order * log_mean + 0.5 * (order * log_sd) ** 2 + scipy.special.log_ndtr(z))
+    got = LognormalHeadway(log_mean, log_sd).truncated_moment(order, upper)
+    assert got == pytest.approx(oracle, rel=1e-11)
+    assert 0.0 <= got <= upper ** order
+
+
+def test_moments_that_overflow_a_float_raise_a_numeric_error():
+    with pytest.raises(NumericError, match="lognormal mean"):
+        LognormalHeadway(1.5, 40.0).mean()
+    for d in (LognormalHeadway(1.5, 19.0), LognormalHeadway(1.5, 30.0),
+              LognormalHeadway(700.0, 3.0)):
+        with pytest.raises(NumericError, match="lognormal variance"):
+            d.variance()
+    with pytest.raises(NumericError, match="rate 1e-300"):
+        ExponentialHeadway(1e-300).variance()
+    # expm1(s^2) overflows, the variance (e^729 - 1) e^-871 does not
+    assert LognormalHeadway(-800.0, 27.0).variance() == pytest.approx(math.exp(-142.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("d", all_families())

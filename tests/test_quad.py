@@ -199,6 +199,33 @@ def test_semi_infinite_shifted_lower_bound():
     assert res.value == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
+def _decays(rates):
+    return [lambda x, r=r: np.array((r * np.exp(-r * x), x * r * np.exp(-r * x)))
+            for r in rates]
+
+
+def test_first_level_of_many_integrands_is_each_one_s_own():
+    # rates near 1 stop on the first level of the unit map, those far from it
+    # refine; a first-level value is integrate_semi_infinite's, to the bit
+    fs = _decays([0.02, 0.5, 1.0, 2.0, 60.0])
+    got = quad.first_level_semi_infinite(fs, 1.5, 1e-11)
+    first = []
+    for f, v in zip(fs, got):
+        ref = integrate_semi_infinite(f, 1.5, rel_tol=1e-11)
+        first.append(ref.evaluations == 15 * 32)
+        if first[-1]:
+            assert v.tolist() == ref.value.tolist()
+        else:
+            assert v is None
+    assert any(first) and not all(first)
+
+
+def test_first_level_of_many_integrands_raises_where_one_is_non_finite():
+    fs = [*_decays([1.0]), lambda x: np.array((np.full(x.shape, np.nan), x))]
+    with pytest.raises(NumericError, match="non-finite"):
+        quad.first_level_semi_infinite(fs, 0.0, 1e-11)
+
+
 # ------------------------------------------------------------- CDF solver
 
 @pytest.mark.parametrize("d", solver_families())
