@@ -11,7 +11,6 @@ simulator's forked worker processes see exactly the parent's instances.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -183,7 +182,7 @@ class ExponentialHeadway(HeadwayDistribution):
         I2(U) = (2 - e^{-x}(x^2 + 2x + 2)) / r^2
 
         Below x = 1 those differences cancel (I2 loses all its digits by
-        x ~ 1e-5), so I_k(U) = k! P(k+1, x) / r^k goes by the series of the
+        x ~ 1e-6), so I_k(U) = k! P(k+1, x) / r^k goes by the series of the
         regularized lower incomplete gamma, P(a, x) = x^a e^{-x} / Gamma(a+1)
         * sum_n x^n / ((a+1)...(a+n)), written as r U^{k+1} e^{-x} / (k+1) *
         sum_n ..., which never forms r^k.
@@ -305,10 +304,12 @@ class LognormalHeadway(HeadwayDistribution):
 
     def variance(self) -> float:
         s2 = self.log_sd ** 2
-        with contextlib.suppress(OverflowError):
+        try:
             v = math.expm1(s2) * math.exp(2.0 * self.log_mean + s2)
-            if v < math.inf:
-                return v
+        except OverflowError:
+            v = math.inf
+        if v < math.inf:
+            return v
         # a factor or the product overflowed: the same product in logs, where
         # log expm1(s2) = s2 to double precision once s2 > 700
         if s2 > 700.0:
