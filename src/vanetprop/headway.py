@@ -171,9 +171,10 @@ class ExponentialHeadway(HeadwayDistribution):
 
     def variance(self) -> float:
         r2 = self.rate ** 2
-        if not r2 > 0.0 or 1.0 / r2 == math.inf:
+        v = 1.0 / r2 if r2 > 0.0 else math.inf
+        if v == math.inf:
             raise NumericError(f"variance 1 / rate^2 at rate {self.rate!r} overflows a float")
-        return 1.0 / r2
+        return v
 
     def truncated_moment(self, order: int, upper: float) -> float:
         """Integration by parts, for x = rU >= 1:
@@ -310,14 +311,9 @@ class LognormalHeadway(HeadwayDistribution):
             v = math.inf
         if v < math.inf:
             return v
-        # a factor or the product overflowed: the same product in logs, where
-        # log expm1(s2) = s2 to double precision once s2 > 700
-        if s2 > 700.0:
-            log_expm1 = s2
-        elif s2 > 0.0:
-            log_expm1 = math.log(math.expm1(s2))
-        else:
-            return 0.0  # log_sd^2 underflowed
+        # a factor or the product overflowed: the same product in logs, with
+        # log expm1(s2) = s2 + log(1 - e^-s2), or 2 log(log_sd) where s2 underflows
+        log_expm1 = s2 + math.log(-math.expm1(-s2)) if s2 > 0.0 else 2.0 * math.log(self.log_sd)
         return _exp(2.0 * self.log_mean + s2 + log_expm1, "lognormal variance")
 
     def truncated_moment(self, order: int, upper: float) -> float:
@@ -335,12 +331,12 @@ class LognormalHeadway(HeadwayDistribution):
             return 0.0
         k = float(order)
         m, s = self.log_mean, self.log_sd
+        log_full = k * m + 0.5 * (k * s) ** 2
         z = (math.log(upper) - m - k * s * s) / s
         try:
-            full = math.exp(k * m + 0.5 * (k * s) ** 2)
+            full = math.exp(log_full)
         except OverflowError:
-            return _exp(k * m + 0.5 * (k * s) ** 2 + _log_norm_cdf(z),
-                        f"lognormal truncated moment of order {order}")
+            return _exp(log_full + _log_norm_cdf(z), f"lognormal truncated moment of order {order}")
         return full * _norm_cdf(z)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
