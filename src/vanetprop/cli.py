@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import math
+import operator
 import sys
 from typing import Callable, NamedTuple
 
@@ -39,8 +40,9 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 EXIT_COMPARE = 5
 
-# rows of a numeric table formatted per write
-_CSV_CHUNK_ROWS = 4096
+# rows of a numeric table formatted per write: about 50 KiB of `analyze`
+# text, where 4096 rows (the whole of a 2000-point sweep) added 1 MiB of peak RSS
+_CSV_CHUNK_ROWS = 256
 
 # gap family -> (constructor, its parameters in argument order)
 _HEADWAYS = {
@@ -262,25 +264,41 @@ def _meta_lines(command: str, params: dict) -> list[str]:
 
 def _emit(out_path, meta: list[str], header: list[str], rows: list | np.ndarray,
           footer: str | None = None) -> None:
-    """Write meta lines, header and rows: a list of rows, or a numeric 2-D array."""
+    """Write meta lines, header and rows: a list of rows, or a numeric 2-D array.
+
+    Every row has the bytes csv.writer gives it: floats as their repr, so
+    that parsing the file back recovers them exactly, and None as an empty
+    cell. Numbers need no quoting, so a numeric array, and each list row of
+    Python floats that ends in None (an `analyze` row without an error), goes
+    through one "%r,...,%r" format per row instead, at less cost, written in
+    batches of _CSV_CHUNK_ROWS rows so that a long table's text is never held
+    whole. Every other row (text, ints, numpy scalars, whose repr is not a
+    float's) goes through csv.writer, for its quoting.
+    """
     with (open(out_path, "w", encoding="utf-8", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
         for line in meta:
             fh.write(line + "\n")
-        # csv writes floats with repr, so parsing the file back recovers them
-        # exactly, and None as an empty cell
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
-            # numbers need no quoting: one "%r,...,%r" format per row writes
-            # what csv.writer does (repr of floats and ints) at less cost;
-            # writing in chunks of rows never holds a fine grid's whole text
             fmt = ",".join(["%r"] * rows.shape[1]) + "\n"
             for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
                 fh.write("".join([fmt % tuple(row)
                                   for row in rows[lo:lo + _CSV_CHUNK_ROWS].tolist()]))
         else:
-            w.writerows(rows)
+            batch: list[str] = []
+            for row in rows:
+                cells = tuple(row[:-1])
+                floats = {*map(type, cells)} == {float} and row[-1] is None
+                if floats:
+                    batch.append(("%r," * len(cells) + "\n") % cells)
+                if not floats or len(batch) == _CSV_CHUNK_ROWS:
+                    fh.write("".join(batch))
+                    batch.clear()
+                if not floats:
+                    w.writerow(row)
+            fh.write("".join(batch))
         if footer is not None:
             fh.write(footer + "\n")
 
@@ -320,17 +338,18 @@ def cmd_analyze(params: dict) -> int:
             points.append(exc)
     # the built points' stats, or typed errors, in the order of the points
     results = iter(scenario.sweep([p for p in points if not isinstance(p, Exception)]))
+    cells_of = operator.attrgetter(*scenario.columns.values())
     rows = []
     code = EXIT_OK
     for v, p in zip(values, points):
         label = 0.0 if v is None else v
         st = p if isinstance(p, Exception) else next(results)
         if not isinstance(st, Exception):
-            cells = [getattr(st, field) for field in scenario.columns.values()]
-            bad = [f"{k} = {c!r}" for k, c in zip(scenario.columns, cells) if not math.isfinite(c)]
-            if not bad:
+            cells = cells_of(st)
+            if all(map(math.isfinite, cells)):
                 rows.append((label, *cells, None))
                 continue
+            bad = [f"{k} = {c!r}" for k, c in zip(scenario.columns, cells) if not math.isfinite(c)]
             st = NumericError(f"non-finite closed form: {', '.join(bad)}")
         rows.append((label, *[None] * len(scenario.columns), f"{type(st).__name__}: {st}"))
         if code == EXIT_OK:

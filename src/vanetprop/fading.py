@@ -13,7 +13,8 @@ f_H p on [0, max_s] to the CDF solver `analytic.cdf`; the functions here
 are that core under fading names.
 
 `sweep_stats` evaluates many points, as `analyze` sweeps do: the first
-quadrature level of up to _CHUNK density points at once, and every
+quadrature level of up to _CHUNK density points at once, with one
+density per headway object (a link sweep's points share one), and every
 point that level does not settle alone, so its record or error is the
 one `fading_stats` gives.
 
@@ -153,13 +154,25 @@ def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],
 def _mean_scaled(d: HeadwayDistribution, lo: float, g: Callable[[np.ndarray], np.ndarray]):
     """x -> s f_H(t) g(t) at t = lo + s x, s = d.mean(): E[g(H)] over [lo, inf)
     as an integral over x in [0, inf)."""
-    s = d.mean()
+    density = _scaled_density(d, lo)
 
     def f(x):
-        t = lo + s * x
-        return s * d.pdf(t) * g(t)
+        t, sf = density(x)
+        return sf * g(t)
 
     return f
+
+
+def _scaled_density(d: HeadwayDistribution, lo: float):
+    """x -> (t, s f_H(t)) at t = lo + s x, s = d.mean(): the headway half of
+    `_mean_scaled`."""
+    s = d.mean()
+
+    def density(x):
+        t = lo + s * x
+        return t, s * d.pdf(t)
+
+    return density
 
 
 def hop_failure_prob(f: FadingModel, d: HeadwayDistribution) -> float:
@@ -228,16 +241,34 @@ def sweep_stats(points: list[tuple[FadingModel, HeadwayDistribution]]) -> list:
 
 def _first_level_laws(chunk: list[tuple[FadingModel, HeadwayDistribution]]) -> list:
     """f.hop_law(d) for each (f, d) of chunk whose quadrature stops on its first
-    level, None for the others."""
+    level, None for the others.
+
+    The level evaluates each integrand once, on its nodes x, so the headway
+    half of `_mean_scaled` (`_scaled_density`: t = lo + s x and s f_H(t)) is
+    evaluated once per distinct headway object and multiplied into the
+    `_hop_stack(t)` of each of its points: a link sweep's points share one
+    density. Each point's integrand stays, op for op, the one `hop_law`
+    integrates.
+    """
     laws = [None] * len(chunk)
     mapped = [i for i, (_, d) in enumerate(chunk)
               if d.atoms() is None and d.support()[1] == math.inf]
     if not mapped:
         return laws
+    level = {}  # id of a headway -> its (t, s f_H(t)) on the level's nodes
+
+    def integrand(f: FadingModel, d: HeadwayDistribution):
+        def g(x):
+            if id(d) not in level:
+                level[id(d)] = _scaled_density(d, d.support()[0])(x)
+            t, sf = level[id(d)]
+            return sf * f._hop_stack(t)
+
+        return g
+
     try:
-        fs = [_mean_scaled(d, d.support()[0], f._hop_stack)
-              for f, d in (chunk[i] for i in mapped)]
-        values = first_level_semi_infinite(fs, 0.0, _REL_TOL)
+        values = first_level_semi_infinite([integrand(*chunk[i]) for i in mapped],
+                                           0.0, _REL_TOL)
     except (ValidationError, NumericError):
         return laws
     for i, v in zip(mapped, values):

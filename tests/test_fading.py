@@ -206,9 +206,10 @@ def test_canonical_fading_point_takes_few_levels(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_sweep_stats_is_fading_stats_at_each_point():
+def test_sweep_stats_is_fading_stats_at_each_point(monkeypatch):
     # chunks mixing mapped laws that stop on the first level, mapped laws that
-    # refine, finite, atomic and degenerate laws, and a non-finite integrand
+    # refine, finite, atomic and degenerate laws, points that share one
+    # headway object with points that have their own, and non-finite integrands
     laws = [ExponentialHeadway(rate=0.2), LognormalHeadway(log_mean=1.5, log_sd=0.6),
             LognormalHeadway(log_mean=1.5, log_sd=3.0), UniformHeadway(low=2.0, high=20.0),
             DeterministicHeadway(spacing=5.0), DeterministicHeadway(spacing=0.0),
@@ -216,9 +217,27 @@ def test_sweep_stats_is_fading_stats_at_each_point():
     points = [(model(c=c, alpha=a), d) for d in laws for c, a in ((0.05, 1.0), (1e-3, 6.0))]
     first = fading_module._first_level_laws(points[:fading_module._CHUNK])
     assert any(first) and not all(first)
-    # a second chunk that goes point by point
-    points += [(model(c=1e-3, alpha=2.0), LognormalHeadway(log_mean=700.0, log_sd=0.6)),
-               points[0]]
+    # a link sweep over one headway object, between equal laws of their own
+    shared = LognormalHeadway(log_mean=1.5, log_sd=0.6)
+    sweep = [(model(c=1e-3, alpha=float(a)), shared if i % 4 else LognormalHeadway(1.5, 0.6))
+             for i, a in enumerate(np.linspace(1.0, 6.0, fading_module._CHUNK))]
+    pdf_calls = []
+    real_pdf = LognormalHeadway.pdf
+    monkeypatch.setattr(LognormalHeadway, "pdf",
+                        lambda self, x: pdf_calls.append(self) or real_pdf(self, x))
+    first = fading_module._first_level_laws(sweep)
+    monkeypatch.undo()
+    assert all(first)
+    assert len(pdf_calls) == 1 + fading_module._CHUNK // 4
+    assert sum(d is shared for d in pdf_calls) == 1
+    # chunks that go point by point: a headway of its own and a shared one
+    # whose integrands are non-finite, among laws that alone stop on level one
+    heavy = LognormalHeadway(log_mean=700.0, log_sd=0.6)
+    points += [*sweep,
+               (model(c=1e-3, alpha=2.0), LognormalHeadway(log_mean=700.0, log_sd=0.6)),
+               points[0],
+               (model(c=1e-3, alpha=2.0), heavy), sweep[1], (model(c=0.05, alpha=1.0), heavy),
+               sweep[2], (model(c=1e-3, alpha=3.0), heavy)]
 
     def alone(f, d):
         try:
@@ -229,7 +248,7 @@ def test_sweep_stats_is_fading_stats_at_each_point():
     got = [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else repr(r)
            for r in fading_module.sweep_stats(points)]
     assert got == [alone(f, d) for f, d in points]
-    assert any(g.startswith("NumericError: integrand") for g in got)
+    assert sum(g.startswith("NumericError: integrand") for g in got) == 4
     assert any(g.startswith("DegenerateProcessError") for g in got)
 
 
