@@ -437,11 +437,26 @@ def test_simulate_ecdf_output(tmp_path):
     assert abs(vals[0] - 0.1) < 0.02
 
 
+def _float_rows_among_others() -> list:
+    # float rows that end in None take the "%r,...,%r," format in batches; a
+    # numpy scalar ("%r" prints np.float64(...)), an int, a None among the
+    # floats or text needs csv.writer, between and across the batches
+    rows = [(0.01 * i, -0.0, 1e16, None) for i in range(2 * cli._CSV_CHUNK_ROWS + 3)]
+    rows[5] = (5.0, np.float64(0.1), math.inf, None)
+    rows[6] = (6.0, 3, 1e-05, None)
+    rows[7] = (7.0, None, 0.1 + 0.2, None)
+    rows[cli._CSV_CHUNK_ROWS] = (8.0, None, None, 'NumericError: a, "b"\nc')
+    rows[cli._CSV_CHUNK_ROWS + 1] = [9.0, None, None, "ValidationError: plain"]
+    rows[-1] = (10.0, None, None, "DegenerateProcessError: d, e")
+    return rows
+
+
 @pytest.mark.parametrize("rows", [
     np.array([[0.0, -0.0, 0.1, 1e-300], [math.inf, -math.inf, math.nan, 2.5e17]]),
     np.array([[0, -3, 7, 2 ** 40]]),
     [[1.5, None, "DegenerateProcessError: a, b", 'say "hi"'], [math.inf, 3, None, "plain"]],
-], ids=["floats", "ints", "text_and_none"])
+    _float_rows_among_others(),
+], ids=["floats", "ints", "text_and_none", "float_rows_among_others"])
 def test_tables_are_written_byte_for_byte_as_csv_writer_writes_them(tmp_path, rows):
     header = ["s", "F, quoted", "x", "y"]
     out = tmp_path / "t.csv"
@@ -468,32 +483,6 @@ def test_a_numeric_table_streams_the_bytes_csv_writer_writes(tmp_path, capsys):
     cli._emit(str(out), ["# meta"], ["s", "F", "x"], rows, footer="# end")
     assert out.read_bytes() == want
     cli._emit(None, ["# meta"], ["s", "F", "x"], rows, footer="# end")
-    assert capsys.readouterr().out.encode() == want
-
-
-def test_list_rows_are_written_byte_for_byte_as_csv_writer_writes_them(tmp_path, capsys):
-    # float rows that end in None take the "%r,...,%r," format in batches; a
-    # numpy scalar ("%r" prints np.float64(...)), an int, a None among the
-    # floats or text needs csv.writer, between and across the batches
-    n = 2 * cli._CSV_CHUNK_ROWS + 3
-    rows = [(0.01 * i, -0.0, 1e-05, 1e16, math.inf, 0.1 + 0.2, None) for i in range(n)]
-    rows[5] = (5.0, np.float64(0.1), 1e-05, 1e16, 2.5, 0.3, None)
-    rows[6] = (6.0, 3, 1e-05, 1e16, 2.5, 0.3, None)
-    rows[7] = (7.0, None, 1e-05, 1e16, 2.5, 0.3, None)
-    rows[cli._CSV_CHUNK_ROWS] = (8.0, *[None] * 5, 'NumericError: a, "b"\nc')
-    rows[cli._CSV_CHUNK_ROWS + 1] = [9.0, *[None] * 5, "ValidationError: plain"]
-    rows[-1] = (10.0, *[None] * 5, "DegenerateProcessError: d, e")
-    header = ["s", "F, quoted", "x", "y", "z", "w", "error"]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    want = ("# meta\n" + buf.getvalue() + "# end\n").encode()
-    assert b"np.float64" not in want
-    out = tmp_path / "t.csv"
-    cli._emit(str(out), ["# meta"], header, rows, footer="# end")
-    assert out.read_bytes() == want
-    cli._emit(None, ["# meta"], header, rows, footer="# end")
     assert capsys.readouterr().out.encode() == want
 
 
