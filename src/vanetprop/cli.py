@@ -95,7 +95,8 @@ _PARAMS = {
     "seed": {"type": int},
     "trials": {"type": int},
     "workers": {"type": int,
-                "help": "simulation worker processes; results do not depend on it"},
+                "help": "forked simulation worker processes, each claiming blocks of "
+                        "8192 trials one at a time; results do not depend on it"},
     "scenario": {"choices": list(_SCENARIOS)},
     "headway": {"choices": sorted(_HEADWAYS)},
     "rate": {"type": float},

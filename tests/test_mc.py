@@ -1,11 +1,12 @@
 """Monte Carlo simulator: semantics, reproducibility, comparisons."""
 
-import concurrent.futures
 import dataclasses
 import math
-import multiprocessing
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -204,12 +205,28 @@ def test_every_field_is_bit_identical_across_workers(cfg):
         assert_same_stats(run(cfg, workers=workers), base)
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="worker pool needs os.fork")
+
+
+@pytest.fixture
+def deadline():
+    """arm(seconds) makes the test raise TimeoutError once it runs that long,
+    so a pool that never finishes fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("deadline passed")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
 def _no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 
 
 def test_one_block_starts_no_pool(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_pool)
     one = SimConfig(EXP, M_EXP, trials=BLOCK_TRIALS, seed=3)
     assert_same_stats(run(one, workers=8), run(one, workers=1))
     two = SimConfig(EXP, M_EXP, trials=BLOCK_TRIALS + 1, seed=3)
@@ -218,10 +235,52 @@ def test_one_block_starts_no_pool(monkeypatch):
 
 
 def test_no_fork_runs_in_process(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    # the pool's probe is hasattr(os, "fork"): a platform without fork has no os.fork
+    monkeypatch.delattr(os, "fork")
     cfg = SimConfig(EXP, M_EXP, trials=3 * BLOCK_TRIALS, seed=3)
     assert_same_stats(run(cfg, workers=2), run(cfg, workers=1))
+
+
+@dataclasses.dataclass(frozen=True)
+class SlowHeadway(ExponentialHeadway):
+    """Exponential gaps whose sampler sleeps `pause` seconds per chunk in
+    the blocks `slow_blocks`."""
+
+    slow_blocks: tuple[int, ...] = ()
+    pause: float = 0.01
+
+    def sample(self, rng, size=None):
+        _seed, block = rng.bit_generator.seed_seq.entropy
+        if block in self.slow_blocks:
+            time.sleep(self.pause)
+        return super().sample(rng, size)
+
+
+@needs_fork
+@pytest.mark.parametrize("workers, slow", [(2, (0,)), (2, (1, 2)), (3, (0, 5, 6))],
+                         ids=["first", "early_pair", "spread"])
+def test_blocks_claimed_out_of_order_reduce_in_block_order(deadline, workers, slow):
+    # a sleeping block holds its worker up while the others claim the next
+    # ones, so the workers finish their blocks out of block order
+    cfg = SimConfig(SlowHeadway(rate=0.2, slow_blocks=slow), M_EXP,
+                    trials=7 * BLOCK_TRIALS + 99, seed=21, ecdf_grid=(0.5, 300.0))
+    base = run(cfg, workers=1)
+    deadline(30.0)
+    assert_same_stats(run(cfg, workers=workers), base)
+
+
+@needs_fork
+def test_an_interrupted_run_kills_its_workers(deadline):
+    # each block sleeps about 10 s; the run is interrupted after 0.3 s
+    cfg = SimConfig(SlowHeadway(rate=0.2, slow_blocks=tuple(range(4)), pause=1.0), M_EXP,
+                    trials=4 * BLOCK_TRIALS, seed=21)
+    start = time.monotonic()
+    deadline(0.3)
+    with pytest.raises(TimeoutError):
+        run(cfg, workers=2)
+    assert time.monotonic() - start < 5.0
+    with pytest.raises(ChildProcessError):  # no child of this process is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,8 +301,6 @@ SAMPLER_ERRORS = [
     (NumericError("synthetic sampler failure", estimate=1.5, error_estimate=0.25), 4),
     (ValidationError("synthetic bad gap"), 2),
 ]
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="worker pool needs the fork start method")
 
 
 @needs_fork
@@ -270,6 +327,31 @@ def test_worker_errors_keep_their_exit_codes(tmp_path, monkeypatch, capsys, erro
     assert str(error) in capsys.readouterr().err
 
 
+@dataclasses.dataclass(frozen=True)
+class DyingHeadway(ExponentialHeadway):
+    """Exponential gaps whose sampler ends its process with status 7 in block `die_block`."""
+
+    die_block: int = 0
+
+    def sample(self, rng, size=None):
+        _seed, block = rng.bit_generator.seed_seq.entropy
+        if block == self.die_block:
+            os._exit(7)
+        return super().sample(rng, size)
+
+
+@needs_fork
+def test_a_worker_that_dies_is_reported_and_every_worker_is_reaped(deadline):
+    cfg = SimConfig(DyingHeadway(rate=0.2, die_block=2), M_EXP, trials=6 * BLOCK_TRIALS, seed=9)
+    start = time.monotonic()
+    deadline(30.0)
+    with pytest.raises(RuntimeError, match="exited with status 7 without a result"):
+        run(cfg, workers=2)
+    assert time.monotonic() - start < 10.0
+    with pytest.raises(ChildProcessError):  # no child of this process is left
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cli_import_loads_no_pool_module():
     # numpy.fft too: the CDF march loads it on its first solve
     probe = ("import sys, vanetprop.cli; "
@@ -279,6 +361,20 @@ def test_cli_import_loads_no_pool_module():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+@needs_fork
+def test_a_pooled_simulate_loads_no_pool_module(tmp_path):
+    probe = ("import sys; from vanetprop import cli; "
+             "code = cli.main(['simulate', '--headway', 'exponential', '--rate', '0.2', "
+             "'--ps', '0.9', '--range', '100', '--trials', '20000', '--workers', '2', "
+             f"'--out', {str(tmp_path / 's.csv')!r}]); "
+             "print(code, *[m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_different_seeds_differ():
@@ -509,6 +605,13 @@ def test_config_validation():
         SimConfig(EXP, M_EXP, trials=10, seed=0, ecdf_grid=(5.0, 1.0))
     with pytest.raises(ValidationError):
         run(SimConfig(EXP, M_EXP, trials=10, seed=0), workers=0)
+    # bool is an int subclass, but True is not a count
+    with pytest.raises(ValidationError, match="trials"):
+        SimConfig(EXP, M_EXP, trials=True, seed=0)
+    with pytest.raises(ValidationError, match="seed"):
+        SimConfig(EXP, M_EXP, trials=10, seed=False)
+    with pytest.raises(ValidationError, match="workers"):
+        run(SimConfig(EXP, M_EXP, trials=10, seed=0), workers=True)
 
 
 @pytest.mark.parametrize("grid", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
