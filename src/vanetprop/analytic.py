@@ -135,15 +135,15 @@ def mean_distance(d: HeadwayDistribution, m) -> float:
 def mean_distance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[float, float]:
     """Distribution-free bounds on E[D] from (mu_H, sigma_H, F_H(L)) only.
 
-    lower = [p_s mu_H - (sqrt(sigma_H^2 + (L-mu_H)^2) - (L-mu_H)) / 2] / (1 - q)
+    lower = max(0, p_s [mu_H - b - L (1 - F_H(L))]) / (1 - q),
+            b = (sqrt(sigma_H^2 + (L-mu_H)^2) - (L-mu_H)) / 2
     upper = p_s (mu_H - L + L F_H(L)) / (1 - q)
 
-    The lower bound is clamped at 0. The upper bound holds for every
-    headway distribution. The lower bound's derivation needs the tail
-    mass above L to be dominated by the sqrt bracket, which holds once L
-    sits several sigma above mu_H (true for any sane radio range vs gap
-    scale); close to L ~ mu_H it can exceed the true mean, so treat it as
-    informative only in the far-cutoff regime.
+    Both hold for every headway distribution and every L. E[D] is
+    p_s E[H 1{H <= L}] / (1 - q) = p_s (mu_H - E[H 1{H > L}]) / (1 - q), and
+    E[H 1{H > L}] = E[(H - L)+] + L (1 - F_H(L)). The lower bound takes b,
+    the largest E[(H - L)+] of any law with this mean and variance (Scarf's
+    bound), for the first term; the upper bound takes 0.
     """
     st = distance_stats(d, m)
     return st.mean_lower, st.mean_upper
@@ -270,7 +270,7 @@ def distance_stats(d: HeadwayDistribution, m: ContentionModel) -> DistanceStats:
     var_lower = r.mean * r.mean * p_s * tail / r.fail
     return DistanceStats(
         mean=r.mean,
-        mean_lower=max(0.0, (p_s * mu - bracket) / r.fail),
+        mean_lower=max(0.0, p_s * (mu - bracket - L * tail)) / r.fail,
         mean_upper=p_s * (mu - L + L * F_L) / r.fail,
         var_paper=r.second + r.mean * r.mean * (p_s * tail / r.fail),
         var_renewal=r.var_renewal,

@@ -19,7 +19,7 @@ import csv
 import math
 import operator
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,9 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 EXIT_COMPARE = 5
 
-# rows of a numeric table formatted per write: about 50 KiB of `analyze`
-# text, where 4096 rows (the whole of a 2000-point sweep) added 1 MiB of peak RSS
+# rows of a table built and formatted at a time (an `analyze` chunk, a block
+# of a CDF table): about 50 KiB of `analyze` text, where 4096 rows (the whole
+# of a 2000-point sweep) added 1 MiB of peak RSS
 _CSV_CHUNK_ROWS = 256
 
 # gap family -> (constructor, its parameters in argument order)
@@ -220,6 +221,10 @@ def _read_params(params: dict) -> set[str]:
 def _sweep_values(params: dict):
     """(name, values) or None. Spec: 'name,from,to,steps[,log]'.
 
+    values is a memoryview of the float64 points, which gives each as a
+    float when read: 8 bytes a point, where a list of floats takes 32, so a
+    long sweep holds little beside the chunk being written.
+
     Only a parameter the run reads can be swept: any other would print
     identical rows.
     """
@@ -251,7 +256,7 @@ def _sweep_values(params: dict):
         values = np.geomspace(lo, hi, steps)
     else:
         values = np.linspace(lo, hi, steps)
-    return name, [float(v) for v in values]
+    return name, memoryview(values)
 
 
 def _meta_lines(command: str, params: dict) -> list[str]:
@@ -263,18 +268,24 @@ def _meta_lines(command: str, params: dict) -> list[str]:
     return lines
 
 
-def _emit(out_path, meta: list[str], header: list[str], rows: list | np.ndarray,
-          footer: str | None = None) -> None:
-    """Write meta lines, header and rows: a list of rows, or a numeric 2-D array.
+def _emit(out_path, meta: list[str], header: list[str], rows: Iterable,
+          footer: Callable[[], str] | None = None) -> None:
+    """Write meta lines, header and rows, then the line footer() gives.
+
+    rows may be a generator: its items are rows, or blocks that stand for a
+    run of numeric rows, given as their columns (1-D arrays of one length).
+    Each is formatted and written in batches of about _CSV_CHUNK_ROWS rows
+    as it comes, so that a long table's text is never held whole. footer
+    is called once every row is written, so it can report on what the rows
+    held.
 
     Every row has the bytes csv.writer gives it: floats as their repr, so
     that parsing the file back recovers them exactly, and None as an empty
-    cell. Numbers need no quoting, so a numeric array, and each list row of
-    Python floats that ends in None (an `analyze` row without an error), goes
-    through one "%r,...,%r" format per row instead, at less cost, written in
-    batches of _CSV_CHUNK_ROWS rows so that a long table's text is never held
-    whole. Every other row (text, ints, numpy scalars, whose repr is not a
-    float's) goes through csv.writer, for its quoting.
+    cell. Numbers need no quoting, so the rows of a block, and each list row
+    of Python floats that ends in None (an `analyze` row without an error),
+    go through one "%r,...,%r" format per row instead, at less cost. Every
+    other row (text, ints, numpy scalars, whose repr is not a float's) goes
+    through csv.writer, for its quoting.
     """
     with (open(out_path, "w", encoding="utf-8", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -282,26 +293,33 @@ def _emit(out_path, meta: list[str], header: list[str], rows: list | np.ndarray,
             fh.write(line + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
-            fmt = ",".join(["%r"] * rows.shape[1]) + "\n"
-            for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-                fh.write("".join([fmt % tuple(row)
-                                  for row in rows[lo:lo + _CSV_CHUNK_ROWS].tolist()]))
-        else:
-            batch: list[str] = []
-            for row in rows:
+        batch: list[str] = []
+        for row in rows:
+            if isinstance(row[0], np.ndarray):
+                fmt = ",".join(["%r"] * len(row)) + "\n"
+                batch += [fmt % r for r in zip(*[c.tolist() for c in row])]
+                floats = True
+            else:
                 cells = tuple(row[:-1])
                 floats = {*map(type, cells)} == {float} and row[-1] is None
                 if floats:
                     batch.append(("%r," * len(cells) + "\n") % cells)
-                if not floats or len(batch) == _CSV_CHUNK_ROWS:
-                    fh.write("".join(batch))
-                    batch.clear()
-                if not floats:
-                    w.writerow(row)
-            fh.write("".join(batch))
+            if not floats or len(batch) >= _CSV_CHUNK_ROWS:
+                fh.write("".join(batch))
+                batch.clear()
+            if not floats:
+                w.writerow(row)
+        fh.write("".join(batch))
         if footer is not None:
-            fh.write(footer + "\n")
+            fh.write(footer() + "\n")
+
+
+def _grid_blocks(step: float, n: int):
+    """(rows, s) for each block of _CSV_CHUNK_ROWS rows of an n-point grid:
+    the slice of the grid's rows and their points s_j = j * step."""
+    for lo in range(0, n, _CSV_CHUNK_ROWS):
+        rows = slice(lo, min(lo + _CSV_CHUNK_ROWS, n))
+        yield rows, np.arange(rows.start, rows.stop) * step
 
 
 def _error_code(exc: Exception) -> int:
@@ -313,6 +331,14 @@ def _error_code(exc: Exception) -> int:
 
 
 def cmd_analyze(params: dict) -> int:
+    """Write the closed forms at the point, or at each point of the sweep, one
+    row per point, and return the exit code of the first error row (0 if none).
+
+    The points are built, evaluated (`scenario.sweep`), formatted and written
+    _CSV_CHUNK_ROWS at a time, so the memory a sweep takes does not grow with
+    its length. A point rebuilds only the object the swept parameter belongs
+    to; the other one is built once and shared by every chunk.
+    """
     name, values = _sweep_values(params) or ("point", [None])
     scenario = _SCENARIOS[params["scenario"]]
     table = _ps_table(params)
@@ -322,41 +348,46 @@ def cmd_analyze(params: dict) -> int:
     for key in _read_params(params):
         with contextlib.suppress(ValidationError):
             typed[key] = _get(params, key)
-    # only the object the swept parameter belongs to is rebuilt per point
     new_headway = name in _headway_keys(params)
     new_model = name in _link_keys(params)
-    points = []  # per value: (headway, model), or the typed error building them raised
-    d = model = None
-    for v in values:
-        point = typed if v is None else {**typed, name: v}
-        try:
-            if d is None or new_headway:
-                d = _build_headway(point)
-            if model is None or new_model:
-                model = _build_model(point, table)
-            points.append((d, model))
-        except ValidationError as exc:
-            points.append(exc)
-    # the built points' stats, or typed errors, in the order of the points
-    results = iter(scenario.sweep([p for p in points if not isinstance(p, Exception)]))
     cells_of = operator.attrgetter(*scenario.columns.values())
-    rows = []
     code = EXIT_OK
-    for v, p in zip(values, points):
-        label = 0.0 if v is None else v
-        st = p if isinstance(p, Exception) else next(results)
-        if not isinstance(st, Exception):
-            cells = cells_of(st)
-            if all(map(math.isfinite, cells)):
-                rows.append((label, *cells, None))
-                continue
-            bad = [f"{k} = {c!r}" for k, c in zip(scenario.columns, cells) if not math.isfinite(c)]
-            st = NumericError(f"non-finite closed form: {', '.join(bad)}")
-        rows.append((label, *[None] * len(scenario.columns), f"{type(st).__name__}: {st}"))
-        if code == EXIT_OK:
-            code = _error_code(st)
+
+    def rows():
+        nonlocal code
+        d = model = None
+        for lo in range(0, len(values), _CSV_CHUNK_ROWS):
+            chunk = values[lo:lo + _CSV_CHUNK_ROWS]
+            points = []  # per value: (headway, model), or the typed error building them raised
+            for v in chunk:
+                point = typed if v is None else {**typed, name: v}
+                try:
+                    if d is None or new_headway:
+                        d = _build_headway(point)
+                    if model is None or new_model:
+                        model = _build_model(point, table)
+                    points.append((d, model))
+                except ValidationError as exc:
+                    points.append(exc)
+            # the built points' stats, or typed errors, in the order of the points
+            results = iter(scenario.sweep([p for p in points if not isinstance(p, Exception)]))
+            for v, p in zip(chunk, points):
+                label = 0.0 if v is None else v
+                st = p if isinstance(p, Exception) else next(results)
+                if not isinstance(st, Exception):
+                    cells = cells_of(st)
+                    if all(map(math.isfinite, cells)):
+                        yield (label, *cells, None)
+                        continue
+                    bad = [f"{k} = {c!r}" for k, c in zip(scenario.columns, cells)
+                           if not math.isfinite(c)]
+                    st = NumericError(f"non-finite closed form: {', '.join(bad)}")
+                yield (label, *[None] * len(scenario.columns), f"{type(st).__name__}: {st}")
+                if code == EXIT_OK:
+                    code = _error_code(st)
+
     _emit(params.get("out"), _meta_lines("analyze", params),
-          [name, *scenario.columns, "error"], rows)
+          [name, *scenario.columns, "error"], rows())
     return code
 
 
@@ -375,8 +406,9 @@ def cmd_simulate(params: dict) -> int:
     meta = _meta_lines("simulate", params)
     _emit(params.get("out"), meta, header, [[getattr(stats, k) for k in header]])
     if ecdf_out:
+        F = stats.ecdf.values
         _emit(ecdf_out, meta, ["s", "F_D_ecdf"],
-              np.column_stack((stats.ecdf.grid(), stats.ecdf.values)))
+              ((s, F[r]) for r, s in _grid_blocks(stats.ecdf.grid_step, F.size)))
     return EXIT_OK
 
 
@@ -433,10 +465,17 @@ def cmd_cdf(params: dict) -> int:
         header.append("F_D_printed")
         extra.append(solve_printed_cdf(d, m.p_s, m.max_range, *cfg.ecdf_grid))
     stats = mc.run(cfg, workers=_get(params, "workers"))
-    diff = np.abs(curve.values - stats.ecdf.values)
-    cols = [curve.grid(), curve.values, stats.ecdf.values, diff, *extra]
-    _emit(params.get("out"), _meta_lines("cdf", params), header,
-          np.column_stack(cols), footer=f"# sup_norm = {float(np.max(diff))!r}")
+    F, E = curve.values, stats.ecdf.values
+    maxima = []
+
+    def blocks():
+        for r, s in _grid_blocks(curve.grid_step, F.size):
+            diff = np.abs(F[r] - E[r])
+            maxima.append(np.max(diff))
+            yield (s, F[r], E[r], diff, *(x[r] for x in extra))
+
+    _emit(params.get("out"), _meta_lines("cdf", params), header, blocks(),
+          footer=lambda: f"# sup_norm = {float(np.max(maxima))!r}")
     return EXIT_OK
 
 

@@ -148,23 +148,25 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     return D, N
 
 
-def _grid_index(grid: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """np.searchsorted(grid, D, side="left") for the uniform grid j * grid[1], D >= 0.
+def _grid_index(step: float, n: int, D: np.ndarray) -> np.ndarray:
+    """np.searchsorted(grid, D, side="left") for the n-point grid j * step, D >= 0.
 
     ceil(D / step) can miss by one either way where rounding puts D on the
-    wrong side of a grid point; one compare on each side restores it.
+    wrong side of a grid point; one compare on each side restores it. Each
+    grid point compared is computed from its index, the bits of
+    CdfCurve.grid(), so no grid array is built.
     """
-    n = grid.size
-    idx = np.minimum(np.ceil(D / grid[1]), n).astype(np.intp)
-    idx -= (idx > 0) & (grid[np.maximum(idx - 1, 0)] >= D)
-    idx += (idx < n) & (grid[np.minimum(idx, n - 1)] < D)
+    idx = np.minimum(np.ceil(D / step), n).astype(np.intp)
+    idx -= (idx > 0) & (np.maximum(idx - 1, 0) * step >= D)
+    idx += (idx < n) & (np.minimum(idx, n - 1) * step < D)
     return idx
 
 
-def _run_blocks(cfg, grid, blocks):
+def _run_blocks(cfg, size, blocks):
     """(block, sums) pairs for the block numbers in `blocks`, in the order
-    run, and the blocks' ECDF histogram on grid (or None). A block's sums
-    are those of D, D^2, D^3, D^4, N, N^2 and of trials with N = 0.
+    run, and the blocks' ECDF histogram on the size-point grid of
+    cfg.ecdf_grid (or None, where size is None). A block's sums are those
+    of D, D^2, D^3, D^4, N, N^2 and of trials with N = 0.
 
     The histogram is one integer sum over the blocks, which no order of
     summation changes, so a worker hands back one, not one per block.
@@ -173,8 +175,8 @@ def _run_blocks(cfg, grid, blocks):
     in-process ECDF run by about 0.3 MiB.
     """
     sums, hist = [], None
-    if grid is not None:
-        hist = np.zeros(grid.size + 1, dtype=np.int64)
+    if size is not None:
+        hist = np.zeros(size + 1, dtype=np.int64)
     for b in blocks:
         n = min(BLOCK_TRIALS, cfg.trials - b * BLOCK_TRIALS)
         D, N = _simulate_block(cfg.headway, cfg.model, cfg.seed, b, n)
@@ -183,7 +185,7 @@ def _run_blocks(cfg, grid, blocks):
                          float(np.sum(d2 * d2)), int(np.sum(N)), int(np.sum(N * N)),
                          int(np.count_nonzero(N == 0)))))
         if hist is not None:
-            hist += np.bincount(_grid_index(grid, D), minlength=grid.size + 1)
+            hist += np.bincount(_grid_index(cfg.ecdf_grid[0], size, D), minlength=size + 1)
     return sums, hist
 
 
@@ -215,7 +217,7 @@ def _read_all(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _worker(cfg, grid, tickets: int, out: int, inherited: list[int]):
+def _worker(cfg, size, tickets: int, out: int, inherited: list[int]):
     """Body of a forked worker; never returns.
 
     Runs the blocks it claims and writes the pickled (pairs, hist), or the
@@ -228,7 +230,7 @@ def _worker(cfg, grid, tickets: int, out: int, inherited: list[int]):
         for fd in inherited:
             os.close(fd)
         try:
-            result = _run_blocks(cfg, grid, _claimed_blocks(tickets))
+            result = _run_blocks(cfg, size, _claimed_blocks(tickets))
         except Exception as exc:  # handed to the parent, which raises it
             result = exc
         _write_all(out, pickle.dumps(result))
@@ -237,13 +239,13 @@ def _worker(cfg, grid, tickets: int, out: int, inherited: list[int]):
         os._exit(status)
 
 
-def _run_forked(cfg, grid, n_blocks: int, workers: int) -> list:
+def _run_forked(cfg, size, n_blocks: int, workers: int) -> list:
     """(pairs, hist) of each of `workers` forked workers, which between
     them run every block once (see _run_blocks).
 
     The workers claim blocks one at a time from a shared pipe of 4-byte
     tickets, so the one that started first or runs faster takes more of
-    them. cfg and grid reach the workers by the fork; only tickets and
+    them. cfg and size reach the workers by the fork; only tickets and
     results cross the pipes. Every worker is reaped before this returns;
     on an error, the ones still running are killed first.
     """
@@ -261,7 +263,7 @@ def _run_forked(cfg, grid, n_blocks: int, workers: int) -> list:
             fds += (r, w)
             pid = os.fork()
             if pid == 0:
-                _worker(cfg, grid, tickets, w, [fd for fd in fds if fd not in (tickets, w)])
+                _worker(cfg, size, tickets, w, [fd for fd in fds if fd not in (tickets, w)])
             results[pid] = r
             close(w)
         close(tickets)
@@ -302,6 +304,11 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     that claim them one at a time (none where the platform cannot fork, or
     for a single block); the result is bit-identical to the in-process run.
 
+    With cfg.ecdf_grid, each block's D is binned on the grid (`_grid_index`)
+    into one integer histogram per worker. The histograms are summed in
+    place, and one float cumsum over the trials gives the ECDF values; the
+    run holds no grid array.
+
     Raises DegenerateProcessError, before simulating, where no hop can
     fail or E[N] = q/(1-q) exceeds MAX_MEAN_HOPS: such trials would never
     end, or not in useful time.
@@ -317,17 +324,17 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         raise DegenerateProcessError(
             f"E[N] = {(1.0 - fail) / fail:.4g} expected hops per trial exceeds "
             f"{MAX_MEAN_HOPS:g}: trials would not terminate in useful time")
-    grid = None
+    size = None  # grid points of the ECDF
     if cfg.ecdf_grid is not None:
         step, max_s = cfg.ecdf_grid
-        grid = np.arange(int(math.floor(max_s / step + 1e-9)) + 1) * step
+        size = int(math.floor(max_s / step + 1e-9)) + 1
 
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
     workers = min(workers, n_blocks)
     if workers > 1 and hasattr(os, "fork"):
-        parts = _run_forked(cfg, grid, n_blocks, workers)
+        parts = _run_forked(cfg, size, n_blocks, workers)
     else:
-        parts = [_run_blocks(cfg, grid, range(n_blocks))]
+        parts = [_run_blocks(cfg, size, range(n_blocks))]
 
     # reduce in block order: float sums stay deterministic under any pool size
     s1 = s2 = s3 = s4 = 0.0
@@ -342,7 +349,6 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         sum_n += pn
         sum_n2 += pn2
         zeros += pz
-    counts = sum(hist for _, hist in parts)[: grid.size] if grid is not None else None
 
     n = cfg.trials
     mean = s1 / n
@@ -362,9 +368,14 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         ci_mean_n = math.inf
 
     ecdf = None
-    if grid is not None:
-        ecdf = CdfCurve(cfg.ecdf_grid[0], cfg.ecdf_grid[1],
-                        np.cumsum(counts) / n)
+    if size is not None:
+        counts = parts[0][1]  # each part's histogram is its own array
+        for _, hist in parts[1:]:
+            counts += hist
+        # counts stay below 2^53, so a float cumsum is exact
+        values = np.cumsum(counts[:size], dtype=np.float64)
+        values /= n
+        ecdf = CdfCurve(step, max_s, values)
     return SimStats(
         trials=n,
         mean_D=mean,

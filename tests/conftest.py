@@ -1,11 +1,10 @@
 """Shared helpers for the test suite.
 
-random_point draws (headway, model) pairs from the parameter regime the
-closed-form bounds are meant for: transmission range far above the
-headway scale. The lower mean bound is a distribution-free estimate that
-only holds out there (see the mean_distance_bounds docstring); the
-domain below keeps every family inside it so the sandwich checks are
-exact requirements, not statistical ones.
+random_point draws (headway, model) pairs from the regime of a sane radio
+range: transmission range far above the headway scale. any_point draws
+from the whole domain, where the range may sit below the mean gap. The
+bounds are exact requirements on both (see the mean_distance_bounds
+docstring), so the sandwich checks are not statistical ones.
 """
 
 import os
@@ -53,14 +52,36 @@ def random_point(rng: np.random.Generator):
     return d, ContentionModel(p_s=p_s, max_range=L)
 
 
-def sandwich_violations(n_points: int, seed: int) -> list[str]:
-    """Run the bounds sandwich over n_points random draws; return violations."""
+def any_point(rng: np.random.Generator):
+    """One randomized (headway, ContentionModel) whose gap law does not scale
+    with the range: L from 0.5 to 300 m, mean gaps from 0.5 to about 280 m."""
+    family = FAMILIES[rng.integers(0, len(FAMILIES))]
+    L = float(rng.uniform(0.5, 300.0))
+    p_s = float(rng.uniform(0.05, 0.95))
+    if family == "exponential":
+        d = ExponentialHeadway(rate=float(rng.uniform(0.01, 2.0)))
+    elif family == "uniform":
+        lo = float(rng.uniform(0.0, 100.0))
+        d = UniformHeadway(low=lo, high=float(rng.uniform(lo + 0.5, lo + 100.0)))
+    elif family == "lognormal":
+        d = LognormalHeadway(log_mean=float(rng.uniform(-0.5, 4.5)),
+                             log_sd=float(rng.uniform(0.1, 1.5)))
+    elif family == "deterministic":
+        d = DeterministicHeadway(spacing=float(rng.uniform(0.5, 200.0)))
+    else:
+        n = int(rng.integers(50, 400))
+        d = EmpiricalHeadway.from_samples(rng.exponential(rng.uniform(0.5, 100.0), n))
+    return d, ContentionModel(p_s=p_s, max_range=L)
+
+
+def sandwich_violations(n_points: int, seed: int, point=random_point) -> list[str]:
+    """Run the bounds sandwich over n_points draws of point(rng); return violations."""
     from vanetprop import distance_stats
 
     rng = np.random.default_rng(seed)
     bad = []
     for k in range(n_points):
-        d, m = random_point(rng)
+        d, m = point(rng)
         st = distance_stats(d, m)
         mtol = 1e-9 * max(1.0, abs(st.mean))
         vtol = 1e-9 * max(1.0, abs(st.var_paper))

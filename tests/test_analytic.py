@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_point, sandwich_violations
+from conftest import any_point, random_point, sandwich_violations
 
 from vanetprop import (
     ContentionModel,
@@ -40,10 +40,10 @@ def test_mean_distance_frozen():
 
 def test_mean_distance_bounds_frozen():
     lo, hi = mean_distance_bounds(EXP, M_EXP)
-    assert lo == pytest.approx(44.3425594164174, rel=1e-12)
+    assert lo == pytest.approx(44.408301536260765, rel=1e-12)
     assert hi == pytest.approx(44.99999731019462, rel=1e-12)
     lo_u, hi_u = mean_distance_bounds(UniformHeadway(0.0, 10.0), ContentionModel(0.5, 100.0))
-    assert lo_u == pytest.approx(4.9561504707783115, rel=1e-12)
+    assert lo_u == pytest.approx(4.978075235389156, rel=1e-12)
     assert hi_u == pytest.approx(5.0, rel=1e-12)
 
 
@@ -110,6 +110,11 @@ def test_closed_forms_match_compound_geometric(d, p_s):
 
 def test_bounds_sandwich_on_random_points():
     assert sandwich_violations(250, seed=20260822) == []
+
+
+def test_bounds_sandwich_on_the_whole_domain():
+    # the range from below the mean gap to far above it, all five families
+    assert sandwich_violations(1000, seed=20261019, point=any_point) == []
 
 
 def test_variance_bounds_order():

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,16 +268,35 @@ CANONICAL_FADING = FadingModel(1.0, 1.0, 1.0, 1.0, 0.05)  # configs/fading.cfg
     pytest.param(["--scenario", "fading", "--headway", "uniform", "--low", "5", "--high", "2",
                   *LINK, "--sweep", "alpha", "1", "6", "3"],
                  lambda v: (UniformHeadway(5.0, 2.0), fm(alpha=v)), id="fixed-headway-fails"),
+    # three chunks and a part, with typed errors in more than one chunk: the
+    # variance overflows down to log_sd 18.9 (exit 4), in the first two
+    # chunks, and log_sd <= 0 fails to build (exit 2), in the last two
+    pytest.param([*LOGN, *CONT, "--sweep", "log_sd", "40", "-5",
+                  str(3 * cli._CSV_CHUNK_ROWS + 7)],
+                 lambda v: (LognormalHeadway(1.5, v), CM), id="contention-chunks"),
+    # alpha outside [1, 6] fails to build, in the first and the last two chunks
+    pytest.param(["--scenario", "fading", *LOGN, *LINK, "--sweep", "alpha", "0.5", "7.5",
+                  str(3 * cli._CSV_CHUNK_ROWS + 20)],
+                 lambda v: (LognormalHeadway(1.5, 0.6), fm(alpha=v)), id="fading-chunks"),
 ])
-def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, argv, make):
-    # the sweep builds only what a point varies and shares the fading points'
-    # first quadrature level; each row must still be, to the byte, the closed
-    # forms of the library at that point, or the typed error they raise
-    out = tmp_path / "s.csv"
-    code = main(["analyze", *argv, "--out", str(out)])
+def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, monkeypatch, argv, make):
+    # the sweep builds only what a point varies, evaluates the points a chunk
+    # at a time and shares the fading points' first quadrature level; each
+    # row must still be, to the byte, the closed forms of the library at that
+    # point, or the typed error they raise
     params = cli._resolve(cli._build_parser().parse_args(["analyze", *argv]))
     name, values = cli._sweep_values(params)
     scenario = cli._SCENARIOS[params["scenario"]]
+    sizes = []  # points per call of the scenario's sweep
+
+    def sweep(points):
+        sizes.append(len(points))
+        return scenario.sweep(points)
+
+    monkeypatch.setitem(cli._SCENARIOS, params["scenario"], scenario._replace(sweep=sweep))
+    out = tmp_path / "s.csv"
+    code = main(["analyze", *argv, "--out", str(out)])
+    assert max(sizes, default=0) <= cli._CSV_CHUNK_ROWS
     expected, codes = [], []
     for v in values:
         try:
@@ -295,6 +315,50 @@ def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, argv, make)
     assert rows[0] == [name, *scenario.columns, "error"]
     assert rows[1:] == expected
     assert code == (codes[0] if codes else 0)
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_a_sweep_holds_its_points_as_doubles(log):
+    # the points held take 8 bytes each, and read back as the floats of the
+    # numpy grid; a list of float objects would take 32
+    n = 100_000
+    argv = ["analyze", *LOGN, *CONT, "--sweep", "log_sd", "0.1", "2", str(n),
+            *(["--log-sweep"] if log else [])]
+    params = cli._resolve(cli._build_parser().parse_args(argv))
+    tracemalloc.start()
+    try:
+        name, values = cli._sweep_values(params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 10 * n
+    grid = (np.geomspace if log else np.linspace)(0.1, 2.0, n).tolist()
+    assert name == "log_sd" and list(values) == grid
+    assert {type(v) for v in values[:3 * cli._CSV_CHUNK_ROWS]} == {float}
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set (VmHWM) from /proc")
+def test_a_long_sweep_takes_no_more_memory_than_a_short_one(tmp_path):
+    # points are built, evaluated and written a chunk at a time, so the peak
+    # does not grow with the sweep; the records of all 40 000 points would
+    # take about 29 MiB
+    script = textwrap.dedent("""
+        import sys
+        from vanetprop import cli
+        assert cli.main(sys.argv[1:]) == 0
+        with open("/proc/self/status", encoding="ascii") as fh:
+            print(next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")))
+    """)
+    peak_kib = []
+    for steps in (400, 40_000):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "analyze", *LOGN, *CONT,
+             "--sweep", "log_sd", "0.1", "2", str(steps), "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak_kib.append(int(proc.stdout))
+    assert peak_kib[1] - peak_kib[0] < 8 * 1024
 
 
 def test_a_parameter_that_does_not_type_fails_every_point(tmp_path):
@@ -451,25 +515,41 @@ def _float_rows_among_others() -> list:
     return rows
 
 
+def _blocks_among_rows() -> list:
+    # a numeric block stands for its rows; the float rows batched before it,
+    # and a csv.writer row after it, keep their places
+    n = cli._CSV_CHUNK_ROWS - 2
+    block = [np.arange(n) * 0.1, np.full(n, -0.0), np.ones(n), np.arange(n)]
+    return [(0.5, 1e-300, 2.0, None), (0.75, 1.0, 3.0, None), block,
+            [1.0, None, None, "NumericError: x, y"], [c[:3] for c in block],
+            (2.0, 1e16, 0.1, None)]
+
+
 @pytest.mark.parametrize("rows", [
-    np.array([[0.0, -0.0, 0.1, 1e-300], [math.inf, -math.inf, math.nan, 2.5e17]]),
-    np.array([[0, -3, 7, 2 ** 40]]),
+    [list(np.array([[0.0, -0.0, 0.1, 1e-300], [math.inf, -math.inf, math.nan, 2.5e17]]).T)],
+    [list(np.array([[0, -3, 7, 2 ** 40]]).T)],
     [[1.5, None, "DegenerateProcessError: a, b", 'say "hi"'], [math.inf, 3, None, "plain"]],
     _float_rows_among_others(),
-], ids=["floats", "ints", "text_and_none", "float_rows_among_others"])
+    _blocks_among_rows(),
+], ids=["floats", "ints", "text_and_none", "float_rows_among_others", "blocks_among_rows"])
 def test_tables_are_written_byte_for_byte_as_csv_writer_writes_them(tmp_path, rows):
     header = ["s", "F, quoted", "x", "y"]
     out = tmp_path / "t.csv"
-    cli._emit(str(out), ["# meta"], header, rows, footer="# end")
+    cli._emit(str(out), ["# meta"], header, rows, footer=lambda: "# end")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows(rows.tolist() if isinstance(rows, np.ndarray) else rows)
+    for row in rows:
+        if isinstance(row[0], np.ndarray):
+            w.writerows(zip(*[c.tolist() for c in row]))
+        else:
+            w.writerow(row)
     assert out.read_bytes() == ("# meta\n" + buf.getvalue() + "# end\n").encode()
 
 
 def test_a_numeric_table_streams_the_bytes_csv_writer_writes(tmp_path, capsys):
-    # two chunks and a part, with the floats whose repr is least plain
+    # two chunks and a part, sent as three blocks, with the floats whose
+    # repr is least plain
     n = 2 * cli._CSV_CHUNK_ROWS + 3
     rows = np.column_stack((np.arange(n) * 0.01, np.linspace(-1.0, 1.0, n), np.zeros(n)))
     rows[:4, 2] = [-0.0, math.inf, 1e-05, 1e16]
@@ -480,9 +560,10 @@ def test_a_numeric_table_streams_the_bytes_csv_writer_writes(tmp_path, capsys):
     w.writerows(rows.tolist())
     want = ("# meta\n" + buf.getvalue() + "# end\n").encode()
     out = tmp_path / "t.csv"
-    cli._emit(str(out), ["# meta"], ["s", "F", "x"], rows, footer="# end")
+    blocks = [list(b.T) for b in np.array_split(rows, 3)]
+    cli._emit(str(out), ["# meta"], ["s", "F", "x"], iter(blocks), footer=lambda: "# end")
     assert out.read_bytes() == want
-    cli._emit(None, ["# meta"], ["s", "F", "x"], rows, footer="# end")
+    cli._emit(None, ["# meta"], ["s", "F", "x"], iter(blocks), footer=lambda: "# end")
     assert capsys.readouterr().out.encode() == want
 
 
@@ -630,6 +711,27 @@ def test_cdf_deterministic_plateaus(tmp_path):
     assert len(footer) == 1 and footer[0].startswith("# sup_norm = ")
     sup = float(footer[0].split("=")[1])
     assert sup < 0.01
+
+
+def test_a_cdf_table_written_in_blocks_is_the_whole_table(tmp_path):
+    # 801 grid rows: three blocks and a part. Every cell must be the whole
+    # curves' value at its row, the grid j * ds, and the footer the largest
+    # abs_diff of all the blocks, here not one of the last block's
+    out = tmp_path / "c.csv"
+    argv = ["cdf", *EXP_ARGS, "--ds", "0.5", "--max-s", "400", "--trials", "20000",
+            "--seed", "3", "--printed-form", "--out", str(out)]
+    assert main(argv) == 0
+    cfg = cli._sim_config(cli._resolve(cli._build_parser().parse_args(argv)), ecdf=True)
+    d, m = cfg.headway, cfg.model
+    F = cli.analytic.cdf(d, m, *cfg.ecdf_grid).values
+    E = cli.mc.run(cfg).ecdf.values
+    P = cli.solve_printed_cdf(d, m.p_s, m.max_range, *cfg.ecdf_grid)
+    diff = np.abs(F - E)
+    assert F.size == 801 and np.argmax(diff) < 3 * cli._CSV_CHUNK_ROWS
+    _, _, rows, footer = parse(out)
+    want = np.column_stack((np.arange(F.size) * 0.5, F, E, diff, P))
+    assert rows == [[repr(c) for c in row] for row in want.tolist()]
+    assert footer == [f"# sup_norm = {float(np.max(diff))!r}"]
 
 
 def test_cdf_printed_form_column_goes_negative(tmp_path):

@@ -445,7 +445,7 @@ def test_grid_index_equals_searchsorted(step):
     D, _ = _simulate_block(EXP, M_EXP, 4, 0, 8192)
     beside = np.concatenate([np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)])
     for sample in (D, grid, beside, np.array([0.0, max_s, 2.0 * max_s, 1e6])):
-        assert np.array_equal(_grid_index(grid, sample),
+        assert np.array_equal(_grid_index(step, grid.size, sample),
                               np.searchsorted(grid, sample, side="left"))
 
 
