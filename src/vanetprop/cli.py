@@ -97,7 +97,11 @@ _PARAMS = {
     "trials": {"type": int},
     "workers": {"type": int,
                 "help": "forked simulation worker processes, each claiming blocks of "
-                        "8192 trials one at a time; results do not depend on it"},
+                        "8192 trials one at a time; results do not depend on it. They "
+                        "live as long as the process and serve its later runs while "
+                        "the count and the headway and model classes allow; a failed "
+                        "run or the exit kills them, and a library class "
+                        "monkeypatched after the fork is not seen by them"},
     "scenario": {"choices": list(_SCENARIOS)},
     "headway": {"choices": sorted(_HEADWAYS)},
     "rate": {"type": float},

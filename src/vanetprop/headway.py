@@ -6,14 +6,15 @@ touches it through pdf/cdf, its support, truncated moments and sampling,
 so adding a family means implementing this interface and nothing else.
 
 Instances are frozen dataclasses: immutable after construction, so the
-simulator's forked worker processes see exactly the parent's instances.
+simulator's worker processes, which get them by the fork or pickled, see
+exactly the parent's instances.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -412,6 +413,11 @@ class EmpiricalHeadway(HeadwayDistribution):
         # prefix sums make truncated moments O(log n)
         object.__setattr__(self, "_csum1", np.cumsum(data))
         object.__setattr__(self, "_csum2", np.cumsum(data * data))
+
+    def __reduce__(self):
+        # the init fields only, so not the prefix sums: the sorted samples,
+        # which loading re-validates before it rebuilds the rest
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @classmethod
     def from_samples(cls, data) -> "EmpiricalHeadway":

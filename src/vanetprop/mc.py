@@ -15,10 +15,21 @@ given (seed, trials) the output is bit-identical no matter how many
 worker processes run the blocks. Workers are bare forks of the caller:
 each claims blocks one at a time from a shared pipe of block numbers and
 hands back its blocks' sums, keyed by block, and one summed histogram.
+
+The workers live as long as the process. The first pooled run forks
+them; a later run with the same worker count sends them its pickled job
+instead, so only the first run pays for the fork and for importing
+numpy.random in the workers. A pool is reused only while the run's
+headway and model classes are vanetprop's own or those it was forked
+with; another class, another count or a worker found dead forks a new
+one. A library class monkeypatched after the fork is not seen by the
+workers. A run that fails, meets a dead worker or is interrupted kills
+its pool, and the process's exit kills whatever pool is left.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import pickle
@@ -189,8 +200,12 @@ def _run_blocks(cfg, size, blocks):
     return sums, hist
 
 
+_END = 0xFFFFFFFF  # the ticket that ends a worker's share of a run
+
+
 def _claimed_blocks(tickets: int):
-    """Block numbers read from the ticket pipe, 4 bytes each, until EOF.
+    """Block numbers read from the ticket pipe, 4 bytes each, up to the
+    end ticket (or EOF, once the caller is gone).
 
     The pipe holds whole tickets only, and a pipe read of at most 4 bytes
     is atomic, so workers reading at once never split one; a short read is
@@ -200,7 +215,10 @@ def _claimed_blocks(tickets: int):
     while chunk := os.read(tickets, 4 - len(ticket)):
         ticket += chunk
         if len(ticket) == 4:
-            yield int.from_bytes(ticket, "little")
+            block = int.from_bytes(ticket, "little")
+            if block == _END:
+                return
+            yield block
             ticket = b""
 
 
@@ -210,91 +228,200 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
+def _serve(cfg, size, tickets: int, jobs: int, out: int, inherited: list[int]):
+    """Body of a pool worker; never returns.
 
-
-def _worker(cfg, size, tickets: int, out: int, inherited: list[int]):
-    """Body of a forked worker; never returns.
-
-    Runs the blocks it claims and writes the pickled (pairs, hist), or the
-    exception that stopped it, to `out`. It closes the descriptors it does
-    not own first: a ticket write end or another worker's result pipe left
-    open here would keep an EOF from arriving.
+    Runs the job (cfg, size) it has by the fork, then each job it reads
+    from its job pipe, until EOF there. For each, it runs the blocks it
+    claims and writes the pickled (pairs, hist), or the exception that
+    stopped it, to `out`. It closes the descriptors it does not own first:
+    a job pipe or result pipe end of the caller's left open here would
+    keep an EOF from arriving.
     """
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
-        try:
-            result = _run_blocks(cfg, size, _claimed_blocks(tickets))
-        except Exception as exc:  # handed to the parent, which raises it
-            result = exc
-        _write_all(out, pickle.dumps(result))
+        with open(jobs, "rb") as job_pipe:
+            while True:
+                try:
+                    result = _run_blocks(cfg, size, _claimed_blocks(tickets))
+                except Exception as exc:  # handed to the parent, which raises it
+                    result = exc
+                _write_all(out, pickle.dumps(result))
+                try:
+                    cfg, size = pickle.load(job_pipe)
+                except EOFError:  # the pool was closed
+                    break
         status = 0
     finally:
         os._exit(status)
 
 
-def _run_forked(cfg, size, n_blocks: int, workers: int) -> list:
-    """(pairs, hist) of each of `workers` forked workers, which between
-    them run every block once (see _run_blocks).
+class _Pool:
+    """Forked workers that outlive the run that forked them.
 
-    The workers claim blocks one at a time from a shared pipe of 4-byte
-    tickets, so the one that started first or runs faster takes more of
-    them. cfg and size reach the workers by the fork; only tickets and
-    results cross the pipes. Every worker is reaped before this returns;
-    on an error, the ones still running are killed first.
+    `workers` maps each worker's pid to the write end of its job pipe and
+    the read end of its result pipe; all of them claim blocks from one
+    ticket pipe, written through `feed`. `classes` are the headway and
+    model classes of the run that forked the pool: the only ones, with
+    vanetprop's own, that the workers surely share with the caller.
     """
-    tickets, feed = os.pipe()
-    fds = [tickets, feed]  # descriptors this process still has to close
-    results = {}  # worker pid -> read end of its result pipe
 
-    def close(fd):
-        fds.remove(fd)
-        os.close(fd)
-
-    try:
-        for _ in range(workers):
-            r, w = os.pipe()
-            fds += (r, w)
-            pid = os.fork()
-            if pid == 0:
-                _worker(cfg, size, tickets, w, [fd for fd in fds if fd not in (tickets, w)])
-            results[pid] = r
-            close(w)
-        close(tickets)
+    def __init__(self, cfg, size, workers: int):
+        self.classes = (type(cfg.headway), type(cfg.model))
+        self.workers: dict[int, tuple[int, int]] = {}
+        tickets, self.feed = os.pipe()
         try:
-            _write_all(feed, np.arange(n_blocks, dtype="<u4").tobytes())
+            for _ in range(workers):
+                job_r, job_w = os.pipe()
+                res_r, res_w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    for fd in (job_r, job_w, res_r, res_w):
+                        os.close(fd)
+                    raise
+                if pid == 0:
+                    _serve(cfg, size, tickets, job_r, res_w,
+                           [self.feed, job_w, res_r, *self._fds()])
+                os.close(job_r)
+                os.close(res_w)
+                self.workers[pid] = (job_w, res_r)
+        except BaseException:
+            self.kill()
+            raise
+        finally:
+            os.close(tickets)
+
+    def _fds(self):
+        return [fd for pipes in self.workers.values() for fd in pipes]
+
+    def fits(self, cfg, workers: int) -> bool:
+        """Whether this pool can run cfg: it has `workers` workers, all
+        alive (one that has exited is reaped here), and they hold the
+        code of cfg's classes."""
+        return (len(self.workers) == workers
+                and all(c in self.classes or c.__module__.startswith("vanetprop.")
+                        for c in (type(cfg.headway), type(cfg.model)))
+                and all(self._reap(pid, os.WNOHANG) is None for pid in list(self.workers)))
+
+    def _reap(self, pid: int, options: int = 0) -> int | None:
+        """The worker's exit code, once it has exited and is reaped (then it
+        leaves the pool); None while it runs."""
+        done, status = os.waitpid(pid, options)
+        if not done:
+            return None
+        for fd in self.workers.pop(pid):
+            os.close(fd)
+        return os.waitstatus_to_exitcode(status)
+
+    def send(self, job: bytes) -> None:
+        """Hand every worker the pickled (cfg, size) of the next run."""
+        try:
+            for job_w, _ in self.workers.values():
+                _write_all(job_w, job)
         except BrokenPipeError:
-            pass  # every worker has exited; collecting their results says why
-        close(feed)
+            pass  # a worker has exited; collecting the results says why
+
+    def run(self, n_blocks: int) -> list:
+        """(pairs, hist) of each worker, which between them run every block
+        of the job they hold once (see _run_blocks).
+
+        The workers claim blocks one at a time from a shared pipe of 4-byte
+        tickets, so the one that started first or runs faster takes more
+        of them; one end ticket per worker follows the block numbers.
+        """
+        tickets = np.full(n_blocks + len(self.workers), _END, dtype="<u4")
+        tickets[:n_blocks] = np.arange(n_blocks)
+        try:
+            _write_all(self.feed, tickets.tobytes())
+        except BrokenPipeError:
+            pass  # every worker has exited; collecting the results says why
         parts = []
-        for pid, r in list(results.items()):
-            data = _read_all(r)
-            close(r)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del results[pid]
-            if not data:
-                raise RuntimeError(f"simulation worker {pid} exited with status {status} "
-                                   "without a result")
-            part = pickle.loads(data)  # written by our own worker
+        for pid, (_, res_r) in list(self.workers.items()):
+            try:
+                with open(res_r, "rb", closefd=False) as results:
+                    part = pickle.load(results)  # written by our own worker
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"simulation worker {pid} exited with status "
+                                   f"{self._reap(pid)} without a result") from None
             if isinstance(part, Exception):
                 raise part
             parts.append(part)
         return parts
-    finally:
-        for fd in fds:
-            os.close(fd)
-        if results:
-            import signal  # only a failed or interrupted run has workers left
 
-            for pid in results:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    def close(self) -> None:
+        """Close this process's ends of the pool's pipes."""
+        for fd in [self.feed, *self._fds()]:
+            os.close(fd)
+        self.workers.clear()
+
+    def kill(self) -> None:
+        """Kill and reap every worker, then close the pipes."""
+        import signal  # only a failed run, a change of pool or the exit ends a pool
+
+        for pid in self.workers:
+            os.kill(pid, signal.SIGKILL)
+        for pid in self.workers:
+            os.waitpid(pid, 0)
+        self.close()
+
+
+# pools no run holds: one per process, unless runs in several threads
+# overlapped. A list, whose append and pop are atomic across threads.
+_idle: list[_Pool] = []
+
+
+def _run_pooled(cfg, size, n_blocks: int, workers: int) -> list:
+    """(pairs, hist) of each of `workers` pool workers (see _Pool.run).
+
+    Reuses an idle pool that fits cfg, sending it the pickled job;
+    otherwise kills it and forks a new pool, which gets cfg by the fork.
+    A run that raises or is interrupted kills its pool.
+    """
+    try:
+        pool = _idle.pop()
+    except IndexError:
+        pool = None
+    job = None
+    if pool is not None and pool.fits(cfg, workers):
+        try:
+            job = pickle.dumps((cfg, size))
+        except (pickle.PicklingError, AttributeError, TypeError):
+            pass  # e.g. a class defined in a function: a new pool gets cfg by the fork
+    if job is None and pool is not None:
+        pool.kill()
+        pool = None
+    try:
+        if pool is None:
+            pool = _Pool(cfg, size, workers)
+        else:
+            pool.send(job)
+        parts = pool.run(n_blocks)
+    except BaseException:
+        if pool is not None:
+            pool.kill()
+        raise
+    _idle.append(pool)
+    return parts
+
+
+def _stop_pools() -> None:
+    """Kill and reap every idle pool; the next pooled run forks a new one."""
+    while _idle:
+        _idle.pop().kill()
+
+
+def _drop_pools() -> None:
+    """In a forked child: forget the parent's pools, whose workers are not its own."""
+    while _idle:
+        _idle.pop().close()
+
+
+atexit.register(_stop_pools)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pools)
 
 
 def run(cfg: SimConfig, workers: int = 1) -> SimStats:
@@ -303,6 +430,7 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     workers > 1 runs the blocks in up to `workers` forked worker processes
     that claim them one at a time (none where the platform cannot fork, or
     for a single block); the result is bit-identical to the in-process run.
+    The workers stay up for the next run (see the module docstring).
 
     With cfg.ecdf_grid, each block's D is binned on the grid (`_grid_index`)
     into one integer histogram per worker. The histograms are summed in
@@ -332,7 +460,7 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
     workers = min(workers, n_blocks)
     if workers > 1 and hasattr(os, "fork"):
-        parts = _run_forked(cfg, size, n_blocks, workers)
+        parts = _run_pooled(cfg, size, n_blocks, workers)
     else:
         parts = [_run_blocks(cfg, size, range(n_blocks))]
 

@@ -1,6 +1,7 @@
 """Headway distribution families: densities, moments, sampling."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -470,6 +471,33 @@ def test_empirical_basic_statistics():
     values, weights = d2.atoms()
     assert weights.sum() == pytest.approx(1.0, rel=1e-15)
     assert repr(d2) == "EmpiricalHeadway(n=5)"
+
+
+def test_empirical_pickles_its_samples_only_and_loads_bit_identical():
+    emp = EmpiricalHeadway.from_samples(np.random.default_rng(3).lognormal(2.0, 0.7, 5000))
+    blob = pickle.dumps(emp)
+    assert len(blob) < emp.samples.nbytes + 1024  # no prefix sums
+    back = pickle.loads(blob)
+    x = np.linspace(0.0, 80.0, 1001)
+    assert back.cdf(x).tobytes() == emp.cdf(x).tobytes()
+    for order in (1, 2):
+        for upper in (0.0, 3.3, 7.38905609893065, 40.0, 1e4):
+            assert repr(back.truncated_moment(order, upper)) \
+                == repr(emp.truncated_moment(order, upper))
+    for got, want in zip(back.atoms(), emp.atoms()):
+        assert got.tobytes() == want.tobytes()
+    rngs = [np.random.Generator(np.random.SFC64(7)) for _ in range(2)]
+    for size in (None, 1, 4096):
+        assert np.asarray(back.sample(rngs[0], size)).tobytes() \
+            == np.asarray(emp.sample(rngs[1], size)).tobytes()
+
+
+def test_empirical_samples_are_validated_again_on_load():
+    emp = EmpiricalHeadway.from_samples([1.0, 2.0, 3.0])
+    object.__setattr__(emp, "samples", np.array([2.0, -1.0]))
+    blob = pickle.dumps(emp)
+    with pytest.raises(ValidationError, match="negative"):
+        pickle.loads(blob)
 
 
 def test_empirical_rejects_bad_input():

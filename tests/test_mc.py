@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -226,6 +227,7 @@ def _no_pool(*args, **kwargs):
 
 
 def test_one_block_starts_no_pool(monkeypatch):
+    mc._stop_pools()  # an idle pool left by an earlier test would serve two blocks
     monkeypatch.setattr(os, "fork", _no_pool)
     one = SimConfig(EXP, M_EXP, trials=BLOCK_TRIALS, seed=3)
     assert_same_stats(run(one, workers=8), run(one, workers=1))
@@ -350,6 +352,202 @@ def test_a_worker_that_dies_is_reported_and_every_worker_is_reaped(deadline):
     assert time.monotonic() - start < 10.0
     with pytest.raises(ChildProcessError):  # no child of this process is left
         os.waitpid(-1, os.WNOHANG)
+
+
+# ------------------------------------------------------ pool lifetime
+
+def _pool_pids():
+    """Worker pids of this process's idle pools."""
+    return [pid for pool in mc._idle for pid in pool.workers]
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no longer a child of this process
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 8])
+def test_a_second_run_at_the_same_count_forks_nothing(monkeypatch, deadline, workers):
+    # at 8 workers, more than most hosts have cores, the workers race for the
+    # tickets of 19 blocks in each of three runs
+    cfg = SimConfig(EmpiricalHeadway.from_samples([2, 5, 5, 9, 14, 33]), M_EXP,
+                    trials=18 * BLOCK_TRIALS + 7, seed=31, ecdf_grid=(0.5, 300.0))
+    base = run(cfg, workers=1)
+    deadline(60.0)
+    run(SimConfig(EXP, FADE, trials=8 * BLOCK_TRIALS, seed=1), workers=workers)
+    pids = _pool_pids()
+    assert len(pids) == workers
+    monkeypatch.setattr(os, "fork", _no_pool)
+    for _ in range(3):
+        assert_same_stats(run(cfg, workers=workers), base)
+    assert _pool_pids() == pids
+
+
+@needs_fork
+def test_a_worker_that_died_between_runs_is_replaced(deadline):
+    cfg = SimConfig(EXP, M_EXP, trials=4 * BLOCK_TRIALS, seed=6, ecdf_grid=(1.0, 300.0))
+    base = run(cfg, workers=1)
+    run(cfg, workers=2)
+    pids = _pool_pids()
+    os.kill(pids[0], signal.SIGKILL)  # ended while idle, as by a Ctrl-C at a prompt
+    deadline(60.0)
+    os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    assert_same_stats(run(cfg, workers=2), base)
+    assert not set(_pool_pids()) & set(pids)
+    _assert_reaped(pids)
+
+
+@needs_fork
+def test_a_headway_class_that_cannot_be_pickled_still_runs_pooled_again():
+    @dataclasses.dataclass(frozen=True)
+    class LocalHeadway(ExponentialHeadway):
+        pass
+
+    cfg = SimConfig(LocalHeadway(rate=0.2), M_EXP, trials=3 * BLOCK_TRIALS, seed=4,
+                    ecdf_grid=(1.0, 300.0))
+    base = run(cfg, workers=1)
+    for _ in range(2):  # the pool was forked with this class, but cannot be sent it
+        assert_same_stats(run(cfg, workers=2), base)
+
+
+@needs_fork
+def test_a_new_worker_count_reforks(monkeypatch):
+    cfg = SimConfig(EXP, M_EXP, trials=4 * BLOCK_TRIALS, seed=6, ecdf_grid=(1.0, 300.0))
+    base = run(cfg, workers=1)
+    run(cfg, workers=2)
+    old = _pool_pids()
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert_same_stats(run(cfg, workers=3), base)
+    assert len(forks) == 3
+    assert len(_pool_pids()) == 3
+    _assert_reaped(old)
+
+
+BAD_GAP = ValidationError("synthetic bad gap")
+
+
+@needs_fork
+@pytest.mark.parametrize("healthy, failing, error", [
+    (FailingHeadway(rate=0.2, fail_block=99, error=BAD_GAP),
+     FailingHeadway(rate=0.2, fail_block=2, error=BAD_GAP), ValidationError),
+    (DyingHeadway(rate=0.2, die_block=99), DyingHeadway(rate=0.2, die_block=2), RuntimeError),
+], ids=["typed_error", "dying_worker"])
+def test_a_failed_run_kills_its_pool_and_the_next_run_forks_a_fresh_one(deadline, healthy,
+                                                                        failing, error):
+    cfg = SimConfig(EXP, M_EXP, trials=4 * BLOCK_TRIALS, seed=5, ecdf_grid=(1.0, 300.0))
+    base = run(cfg, workers=1)
+    deadline(60.0)
+    # the pool is forked with the failing class, so the failing run reuses it
+    run(SimConfig(healthy, M_EXP, trials=4 * BLOCK_TRIALS, seed=5), workers=2)
+    pids = _pool_pids()
+    with pytest.raises(error):
+        run(SimConfig(failing, M_EXP, trials=4 * BLOCK_TRIALS, seed=5), workers=2)
+    assert _pool_pids() == []
+    with pytest.raises(ChildProcessError):  # no child of this process is left
+        os.waitpid(-1, os.WNOHANG)
+    assert_same_stats(run(cfg, workers=2), base)
+    assert not set(_pool_pids()) & set(pids)
+
+
+@needs_fork
+def test_a_process_that_ran_a_pooled_simulate_leaves_no_worker_behind(tmp_path):
+    probe = ("from vanetprop import cli, mc; "
+             "code = cli.main(['simulate', '--headway', 'exponential', '--rate', '0.2', "
+             "'--ps', '0.9', '--range', '100', '--trials', '20000', '--workers', '2', "
+             f"'--out', {str(tmp_path / 's.csv')!r}]); "
+             "print(code, *[pid for pool in mc._idle for pid in pool.workers])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *pids = proc.stdout.split()
+    assert code == "0" and len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+
+
+def _shifted_headway(shift):
+    """A headway class named like the module-level ShiftedHeadway, whose gaps
+    are exponential plus `shift`."""
+
+    @dataclasses.dataclass(frozen=True)
+    class ShiftedHeadway(ExponentialHeadway):
+        def sample(self, rng, size=None):
+            return super().sample(rng, size) + shift
+
+    ShiftedHeadway.__qualname__ = "ShiftedHeadway"
+    return ShiftedHeadway
+
+
+def _shifted_config(cls):
+    return SimConfig(cls(rate=0.2), M_EXP, trials=3 * BLOCK_TRIALS + 5, seed=8,
+                     ecdf_grid=(0.5, 300.0))
+
+
+@needs_fork
+def test_a_headway_class_defined_after_the_pool_started_runs_its_own_code(monkeypatch):
+    run(SimConfig(EXP, M_EXP, trials=3 * BLOCK_TRIALS, seed=8), workers=2)
+    assert _pool_pids()
+    late = _shifted_headway(1.0)
+    monkeypatch.setattr(sys.modules[__name__], "ShiftedHeadway", late, raising=False)
+    cfg = _shifted_config(late)
+    assert_same_stats(run(cfg, workers=2), run(cfg, workers=1))
+
+
+@needs_fork
+def test_a_headway_class_redefined_after_the_pool_started_runs_its_new_code(monkeypatch):
+    module = sys.modules[__name__]
+    old, new = _shifted_headway(0.0), _shifted_headway(1.0)
+    monkeypatch.setattr(module, "ShiftedHeadway", old, raising=False)
+    run(_shifted_config(old), workers=2)  # the pool is forked with the old class
+    old_base = run(_shifted_config(old), workers=1)
+    monkeypatch.setattr(module, "ShiftedHeadway", new)
+    base = run(_shifted_config(new), workers=1)
+    assert base.mean_D != old_base.mean_D
+    assert_same_stats(run(_shifted_config(new), workers=2), base)
+
+
+@needs_fork
+def test_a_child_forked_by_the_caller_runs_its_own_pool(monkeypatch, deadline):
+    cfg = SimConfig(EXP, FADE, trials=3 * BLOCK_TRIALS + 1, seed=13, ecdf_grid=(0.5, 200.0))
+    base = run(cfg, workers=1)
+    run(cfg, workers=2)
+    parents = _pool_pids()
+    deadline(60.0)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            dropped = not mc._idle  # the parent's pool is not the child's
+            stats = run(cfg, workers=2)
+            own = _pool_pids()
+            mc._stop_pools()
+            with open(w, "wb") as fh:
+                pickle.dump((dropped, own, stats), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    with open(r, "rb") as fh:
+        dropped, own, stats = pickle.load(fh)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert dropped
+    assert len(own) == 2 and not set(own) & set(parents)
+    assert_same_stats(stats, base)
+    monkeypatch.setattr(os, "fork", _no_pool)
+    assert_same_stats(run(cfg, workers=2), base)  # the parent's pool still serves
+    assert _pool_pids() == parents
 
 
 def test_cli_import_loads_no_pool_module():
