@@ -22,9 +22,11 @@ instead, so only the first run pays for the fork and for importing
 numpy.random in the workers. A pool is reused only while the run's
 headway and model classes are vanetprop's own or those it was forked
 with; another class, another count or a worker found dead forks a new
-one. A library class monkeypatched after the fork is not seen by the
-workers. A run that fails, meets a dead worker or is interrupted kills
-its pool, and the process's exit kills whatever pool is left.
+one, and so does a job a worker cannot load. A library class
+monkeypatched after the fork is not seen by the workers. A worker holds
+none of the caller's descriptors, only its image of the caller's memory
+at the fork. A run that fails, meets a dead worker or is interrupted
+kills its pool, and the process's exit kills whatever pool is left.
 """
 
 from __future__ import annotations
@@ -201,6 +203,9 @@ def _run_blocks(cfg, size, blocks):
 
 
 _END = 0xFFFFFFFF  # the ticket that ends a worker's share of a run
+# signal.SIGKILL on every POSIX system; importing signal to end a pool at
+# exit would add about 1.5 ms to a one-shot pooled simulate
+_SIGKILL = 9
 
 
 def _claimed_blocks(tickets: int):
@@ -228,20 +233,28 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _serve(cfg, size, tickets: int, jobs: int, out: int, inherited: list[int]):
+def _serve(cfg, size, tickets: int, jobs: int, out: int):
     """Body of a pool worker; never returns.
 
     Runs the job (cfg, size) it has by the fork, then each job it reads
     from its job pipe, until EOF there. For each, it runs the blocks it
     claims and writes the pickled (pairs, hist), or the exception that
-    stopped it, to `out`. It closes the descriptors it does not own first:
-    a job pipe or result pipe end of the caller's left open here would
-    keep an EOF from arriving.
+    stopped it, to `out`. A job it cannot load, one naming a class bound
+    after the fork, it answers with None, and exits.
+
+    It first closes every descriptor but 0-2 and its own three: one of the
+    caller's held open here would keep a pipe or socket the caller closes
+    from reaching EOF. Once it has handed back its first result it ignores
+    SIGINT, so a Ctrl-C at the terminal ends only the caller, whose
+    interrupted run kills its pool.
     """
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
+        low = 3
+        for fd in sorted((tickets, jobs, out)):
+            os.closerange(low, fd)
+            low = fd + 1
+        os.closerange(low, os.sysconf("SC_OPEN_MAX"))
         with open(jobs, "rb") as job_pipe:
             while True:
                 try:
@@ -249,13 +262,23 @@ def _serve(cfg, size, tickets: int, jobs: int, out: int, inherited: list[int]):
                 except Exception as exc:  # handed to the parent, which raises it
                     result = exc
                 _write_all(out, pickle.dumps(result))
+                import signal  # here, not on the way to the first run's result
+
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
                 try:
                     cfg, size = pickle.load(job_pipe)
                 except EOFError:  # the pool was closed
                     break
+                except Exception:  # the caller forks a pool that has the job
+                    _write_all(out, pickle.dumps(None))
+                    break
         status = 0
     finally:
         os._exit(status)
+
+
+class _StaleJob(Exception):
+    """The pool cannot be sent the job, or a worker cannot load it."""
 
 
 class _Pool:
@@ -283,8 +306,7 @@ class _Pool:
                         os.close(fd)
                     raise
                 if pid == 0:
-                    _serve(cfg, size, tickets, job_r, res_w,
-                           [self.feed, job_w, res_r, *self._fds()])
+                    _serve(cfg, size, tickets, job_r, res_w)
                 os.close(job_r)
                 os.close(res_w)
                 self.workers[pid] = (job_w, res_r)
@@ -293,9 +315,6 @@ class _Pool:
             raise
         finally:
             os.close(tickets)
-
-    def _fds(self):
-        return [fd for pipes in self.workers.values() for fd in pipes]
 
     def fits(self, cfg, workers: int) -> bool:
         """Whether this pool can run cfg: it has `workers` workers, all
@@ -316,8 +335,13 @@ class _Pool:
             os.close(fd)
         return os.waitstatus_to_exitcode(status)
 
-    def send(self, job: bytes) -> None:
-        """Hand every worker the pickled (cfg, size) of the next run."""
+    def send(self, cfg, size) -> None:
+        """Hand every worker the pickled (cfg, size) of the next run; raise
+        _StaleJob where it cannot be pickled (a class defined in a function)."""
+        try:
+            job = pickle.dumps((cfg, size))
+        except (pickle.PicklingError, AttributeError, TypeError):
+            raise _StaleJob from None
         try:
             for job_w, _ in self.workers.values():
                 _write_all(job_w, job)
@@ -346,6 +370,8 @@ class _Pool:
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"simulation worker {pid} exited with status "
                                    f"{self._reap(pid)} without a result") from None
+            if part is None:
+                raise _StaleJob
             if isinstance(part, Exception):
                 raise part
             parts.append(part)
@@ -353,16 +379,16 @@ class _Pool:
 
     def close(self) -> None:
         """Close this process's ends of the pool's pipes."""
-        for fd in [self.feed, *self._fds()]:
-            os.close(fd)
+        os.close(self.feed)
+        for pipes in self.workers.values():
+            for fd in pipes:
+                os.close(fd)
         self.workers.clear()
 
     def kill(self) -> None:
         """Kill and reap every worker, then close the pipes."""
-        import signal  # only a failed run, a change of pool or the exit ends a pool
-
         for pid in self.workers:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, _SIGKILL)
         for pid in self.workers:
             os.waitpid(pid, 0)
         self.close()
@@ -377,28 +403,26 @@ def _run_pooled(cfg, size, n_blocks: int, workers: int) -> list:
     """(pairs, hist) of each of `workers` pool workers (see _Pool.run).
 
     Reuses an idle pool that fits cfg, sending it the pickled job;
-    otherwise kills it and forks a new pool, which gets cfg by the fork.
-    A run that raises or is interrupted kills its pool.
+    otherwise, or where the job cannot be pickled or a worker cannot load
+    it, kills it and forks a new pool, which gets cfg by the fork. A run
+    that raises or is interrupted kills its pool.
     """
     try:
         pool = _idle.pop()
     except IndexError:
         pool = None
-    job = None
-    if pool is not None and pool.fits(cfg, workers):
-        try:
-            job = pickle.dumps((cfg, size))
-        except (pickle.PicklingError, AttributeError, TypeError):
-            pass  # e.g. a class defined in a function: a new pool gets cfg by the fork
-    if job is None and pool is not None:
+    if pool is not None and not pool.fits(cfg, workers):
         pool.kill()
         pool = None
     try:
         if pool is None:
             pool = _Pool(cfg, size, workers)
         else:
-            pool.send(job)
+            pool.send(cfg, size)
         parts = pool.run(n_blocks)
+    except _StaleJob:  # a new pool gets cfg by the fork
+        pool.kill()
+        return _run_pooled(cfg, size, n_blocks, workers)
     except BaseException:
         if pool is not None:
             pool.kill()

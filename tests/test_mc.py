@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -391,11 +392,58 @@ def test_a_worker_that_died_between_runs_is_replaced(deadline):
     base = run(cfg, workers=1)
     run(cfg, workers=2)
     pids = _pool_pids()
-    os.kill(pids[0], signal.SIGKILL)  # ended while idle, as by a Ctrl-C at a prompt
+    os.kill(pids[0], signal.SIGKILL)  # ended while idle, as by the kernel's OOM killer
     deadline(60.0)
     os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
     assert_same_stats(run(cfg, workers=2), base)
     assert not set(_pool_pids()) & set(pids)
+    _assert_reaped(pids)
+
+
+@needs_fork
+def test_a_ctrl_c_leaves_idle_workers_serving(monkeypatch):
+    cfg = SimConfig(EXP, M_EXP, trials=4 * BLOCK_TRIALS, seed=6, ecdf_grid=(1.0, 300.0))
+    base = run(cfg, workers=1)
+    for _ in range(2):  # a worker ignores SIGINT once it has handed back a result
+        run(cfg, workers=2)
+    pids = _pool_pids()
+    for pid in pids:  # what a Ctrl-C at a prompt sends the whole process group
+        os.kill(pid, signal.SIGINT)
+    monkeypatch.setattr(os, "fork", _no_pool)
+    assert_same_stats(run(cfg, workers=2), base)
+    assert _pool_pids() == pids
+
+
+@needs_fork
+def test_a_pipe_the_caller_closes_reaches_eof_while_the_pool_idles():
+    mc._stop_pools()
+    r, w = os.pipe()  # opened before the pool, so the workers are forked with it
+    with open(r, "rb", buffering=0) as reader:
+        try:
+            run(SimConfig(EXP, M_EXP, trials=3 * BLOCK_TRIALS, seed=2), workers=2)
+        finally:
+            os.close(w)
+        assert len(_pool_pids()) == 2
+        # readable at once only if no idle worker still holds the write end
+        assert select.select([reader], [], [], 10.0)[0] == [reader]
+        assert reader.read(1) == b""
+
+
+@needs_fork
+def test_a_job_that_names_a_class_bound_after_the_fork_forks_a_new_pool(monkeypatch):
+    run(SimConfig(EXP, M_EXP, trials=3 * BLOCK_TRIALS, seed=8), workers=2)
+    pids = _pool_pids()
+
+    class LateFloat(float):
+        pass
+
+    # pickled by reference, as test_mc.LateFloat, which the workers lack
+    LateFloat.__qualname__ = "LateFloat"
+    monkeypatch.setattr(sys.modules[__name__], "LateFloat", LateFloat, raising=False)
+    cfg = SimConfig(ExponentialHeadway(rate=LateFloat(0.2)), M_EXP,
+                    trials=3 * BLOCK_TRIALS + 5, seed=8, ecdf_grid=(LateFloat(0.5), 300.0))
+    assert_same_stats(run(cfg, workers=2), run(cfg, workers=1))
+    assert len(_pool_pids()) == 2 and not set(_pool_pids()) & set(pids)
     _assert_reaped(pids)
 
 
