@@ -253,7 +253,7 @@ def _serve(cfg, size, tickets: int, jobs: int, out: int):
         low = 3
         for fd in sorted((tickets, jobs, out)):
             os.closerange(low, fd)
-            low = fd + 1
+            low = max(low, fd + 1)
         os.closerange(low, os.sysconf("SC_OPEN_MAX"))
         with open(jobs, "rb") as job_pipe:
             while True:
