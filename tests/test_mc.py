@@ -437,7 +437,7 @@ def test_a_job_that_names_a_class_bound_after_the_fork_forks_a_new_pool(monkeypa
     class LateFloat(float):
         pass
 
-    # pickled by reference, as test_mc.LateFloat, which the workers lack
+    # pickled by reference to this module's LateFloat, which the workers lack
     LateFloat.__qualname__ = "LateFloat"
     monkeypatch.setattr(sys.modules[__name__], "LateFloat", LateFloat, raising=False)
     cfg = SimConfig(ExponentialHeadway(rate=LateFloat(0.2)), M_EXP,
