@@ -25,7 +25,6 @@ from .errors import (
 )
 from .fading import (
     FadingModel,
-    FadingStats,
     fading_stats,
     hop_failure_prob,
     mean_distance_fading,
@@ -57,7 +56,7 @@ __all__ = [
     "variance_bounds", "variance_paper", "variance_renewal",
     "DegenerateProcessError", "NumericError", "UnsupportedOrderError",
     "ValidationError",
-    "FadingModel", "FadingStats", "fading_stats", "hop_failure_prob",
+    "FadingModel", "fading_stats", "hop_failure_prob",
     "mean_distance_fading", "success_prob", "variance_fading_paper",
     "variance_fading_renewal",
     "DeterministicHeadway", "EmpiricalHeadway", "ExponentialHeadway",

@@ -11,13 +11,17 @@ test. One core turns the law into E[D] = m1/(1-q), the renewal variance
 m2/(1-q) + E[D]^2 and E[N] = q/(1-q), and raises DegenerateProcessError
 where 1 - q = 0.
 
+`distance_stats(d, model)` returns one record for either model: the
+core's closed forms, and the printed variance and bounds the model
+supplies (`paper_forms`; fading has no bounds). `sweep_stats` takes many
+points, and lets each model class settle their hop laws together.
+
 Two variance routes are exposed on purpose: `variance_paper` evaluates
 the printed second-moment identity, whose cross term drops the square of
 the conditional mean; `variance_renewal` is the compound-geometric
 variance. They disagree whenever propagation can continue past one hop;
 simulation arbitrates (see the mc module). Bounds enclose the printed
-variant, which is what they were derived against. The bounds and the
-printed variance are contention-only.
+variant, which is what they were derived against.
 
 `cdf` is the one CDF solver, for either model: it solves the renewal
 equation F_D(s) = 1 - q + int_0^s f_H(t) p(t) F_D(s - t) dt with the hop
@@ -52,6 +56,7 @@ __all__ = [
     "mean_cluster_size",
     "cdf",
     "distance_stats",
+    "sweep_stats",
     "solve_renewal_cdf",
     "solve_printed_cdf",
 ]
@@ -92,6 +97,27 @@ class ContentionModel:
     def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Simulated hop outcomes: gap within range and uniform draw u below p_s."""
         return (tau <= self.max_range) & (u < self.p_s)
+
+    def paper_forms(self, d: HeadwayDistribution, r: _Renewal) -> tuple[float, ...]:
+        """(var_paper, mean_lower, mean_upper, var_lower, var_upper) at d, given the
+        closed forms r (formulas on the per-quantity functions)."""
+        L, p_s = self.max_range, self.p_s
+        mu = d.mean()
+        gap = L - mu
+        bracket = 0.5 * (math.sqrt(d.variance() + gap * gap) - gap)
+        F_L = d.cdf(L)
+        tail = 1.0 - F_L
+        var_lower = r.mean * r.mean * p_s * tail / r.fail
+        return (r.second + r.mean * r.mean * (p_s * tail / r.fail),
+                max(0.0, p_s * (mu - bracket - L * tail)) / r.fail,
+                p_s * (mu - L + L * F_L) / r.fail,
+                var_lower,
+                (p_s * L * mu - p_s * L * L * tail) / r.fail + var_lower)
+
+    @staticmethod
+    def hop_laws(points: list) -> list:
+        """None for each point: a contention hop law is closed, with nothing to share."""
+        return [None] * len(points)
 
 
 class _Renewal(NamedTuple):
@@ -149,14 +175,15 @@ def mean_distance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[fl
     return st.mean_lower, st.mean_upper
 
 
-def variance_paper(d: HeadwayDistribution, m: ContentionModel) -> float:
-    """Printed variance identity:
+def variance_paper(d: HeadwayDistribution, m) -> float:
+    """Printed variance identity, for either channel model. Contention:
 
     Var[D] = p_s I2(L)/(1-q) + mu_D^2 * p_s (1 - F_H(L))/(1-q)
 
     The second term vanishes whenever F_H(L) = 1, which makes this
     variant systematically low once multi-hop propagation matters; kept
     verbatim so simulation can arbitrate against `variance_renewal`.
+    Fading prints E[H^2 p(H)]/(1-q), with no mean-square term at all.
     """
     return distance_stats(d, m).var_paper
 
@@ -246,35 +273,48 @@ def solve_printed_cdf(headway, p_s: float, max_range: float,
 
 @dataclass(frozen=True)
 class DistanceStats:
-    """Every closed form for one (headway, model) point."""
+    """Every closed form at one (headway, model) point, for either channel model:
+    q_hop = q, cluster_size = E[N]; the printed variance and the bounds are the
+    model's own (`paper_forms`, in field order), the bounds None under fading."""
 
+    q_hop: float
     mean: float
-    mean_lower: float
-    mean_upper: float
-    var_paper: float
     var_renewal: float
-    var_lower: float
-    var_upper: float
     cluster_size: float
+    var_paper: float
+    mean_lower: float | None = None
+    mean_upper: float | None = None
+    var_lower: float | None = None
+    var_upper: float | None = None
 
 
-def distance_stats(d: HeadwayDistribution, m: ContentionModel) -> DistanceStats:
-    """Every contention closed form (formulas on the per-quantity functions), one hop law."""
-    r = _renewal(d, m)
-    L, p_s = m.max_range, m.p_s
-    mu = d.mean()
-    gap = L - mu
-    bracket = 0.5 * (math.sqrt(d.variance() + gap * gap) - gap)
-    F_L = d.cdf(L)
-    tail = 1.0 - F_L
-    var_lower = r.mean * r.mean * p_s * tail / r.fail
-    return DistanceStats(
-        mean=r.mean,
-        mean_lower=max(0.0, p_s * (mu - bracket - L * tail)) / r.fail,
-        mean_upper=p_s * (mu - L + L * F_L) / r.fail,
-        var_paper=r.second + r.mean * r.mean * (p_s * tail / r.fail),
-        var_renewal=r.var_renewal,
-        var_lower=var_lower,
-        var_upper=(p_s * L * mu - p_s * L * L * tail) / r.fail + var_lower,
-        cluster_size=r.cluster_size,
-    )
+def distance_stats(d: HeadwayDistribution, m) -> DistanceStats:
+    """Every closed form at one (headway, model) point, from one hop law."""
+    return _stats(d, m, _renewal(d, m))
+
+
+def _stats(d: HeadwayDistribution, m, r: _Renewal) -> DistanceStats:
+    """The record of the closed forms r of m's hop law under d."""
+    return DistanceStats(r.q, r.mean, r.var_renewal, r.cluster_size, *m.paper_forms(d, r))
+
+
+def sweep_stats(points: list) -> list:
+    """`distance_stats(d, m)` at each (d, m) of points, in order, or in its place
+    the ValidationError, DegenerateProcessError or NumericError it raises.
+
+    A point whose hop law its model class settles with others (`hop_laws`)
+    takes its record from that law; every other point goes through
+    `distance_stats`, so that it meets its own error.
+    """
+    laws = [None] * len(points)
+    for kind in dict.fromkeys(type(m) for _, m in points):
+        mine = [i for i, (_, m) in enumerate(points) if type(m) is kind]
+        for i, law in zip(mine, kind.hop_laws([points[i] for i in mine])):
+            laws[i] = law
+    out = []
+    for (d, m), law in zip(points, laws):
+        try:
+            out.append(distance_stats(d, m) if law is None else _stats(d, m, _compound(*law)))
+        except (ValidationError, DegenerateProcessError, NumericError) as exc:
+            out.append(exc)
+    return out

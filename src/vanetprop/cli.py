@@ -58,20 +58,7 @@ _HEADWAYS = {
 class _Scenario(NamedTuple):
     model: type            # channel model class
     link: tuple[str, ...]  # its parameters, in argument order
-    columns: dict[str, str]  # `analyze` column -> the stats record field behind it
-    stats: Callable        # (headway, model) -> every closed form at one point
-    sweep: Callable        # [(headway, model), ...] -> each point's stats or typed error
-
-
-def _each_point(stats: Callable, points: list) -> list:
-    """stats at each (headway, model) point, or the typed error it raises there."""
-    out = []
-    for d, model in points:
-        try:
-            out.append(stats(d, model))
-        except (ValidationError, DegenerateProcessError, NumericError) as exc:
-            out.append(exc)
-    return out
+    columns: dict[str, str]  # `analyze` column -> the DistanceStats field behind it
 
 
 _SCENARIOS = {
@@ -79,15 +66,11 @@ _SCENARIOS = {
         analytic.ContentionModel, ("ps", "range"),
         {"mu_D": "mean", "mean_lower": "mean_lower", "mean_upper": "mean_upper",
          "var_paper": "var_paper", "var_renewal": "var_renewal",
-         "var_lower": "var_lower", "var_upper": "var_upper", "mu_N": "cluster_size"},
-        lambda d, model: analytic.distance_stats(d, model),
-        lambda points: _each_point(analytic.distance_stats, points)),
+         "var_lower": "var_lower", "var_upper": "var_upper", "mu_N": "cluster_size"}),
     "fading": _Scenario(
         fading.FadingModel, ("pt", "gain", "d0", "alpha", "pth"),
         {"q_hop": "q_hop", "mu_D": "mean", "var_paper": "var_paper",
-         "var_renewal": "var_renewal"},
-        lambda d, model: fading.fading_stats(model, d),
-        lambda points: fading.sweep_stats([(model, d) for d, model in points])),
+         "var_renewal": "var_renewal"}),
 }
 
 # config key -> keywords of its --key-name flag. A config file accepts
@@ -338,7 +321,7 @@ def cmd_analyze(params: dict) -> int:
     """Write the closed forms at the point, or at each point of the sweep, one
     row per point, and return the exit code of the first error row (0 if none).
 
-    The points are built, evaluated (`scenario.sweep`), formatted and written
+    The points are built, evaluated (`analytic.sweep_stats`), formatted and written
     _CSV_CHUNK_ROWS at a time, so the memory a sweep takes does not grow with
     its length. A point rebuilds only the object the swept parameter belongs
     to; the other one is built once and shared by every chunk.
@@ -374,7 +357,8 @@ def cmd_analyze(params: dict) -> int:
                 except ValidationError as exc:
                     points.append(exc)
             # the built points' stats, or typed errors, in the order of the points
-            results = iter(scenario.sweep([p for p in points if not isinstance(p, Exception)]))
+            results = iter(analytic.sweep_stats(
+                [p for p in points if not isinstance(p, Exception)]))
             for v, p in zip(chunk, points):
                 label = 0.0 if v is None else v
                 st = p if isinstance(p, Exception) else next(results)
@@ -417,13 +401,12 @@ def cmd_simulate(params: dict) -> int:
 
 
 def cmd_compare(params: dict) -> int:
-    scenario = _SCENARIOS[params["scenario"]]
     # either grid key asks for the CDF check; _sim_config then requires both
     want_cdf = any(params.get(k) is not None for k in ("ds", "max_s"))
     cfg = _sim_config(params, ecdf=want_cdf)
     # the analytic side first: a grid or point it rejects costs no simulation
     curve = analytic.cdf(cfg.headway, cfg.model, *cfg.ecdf_grid) if want_cdf else None
-    st = scenario.stats(cfg.headway, cfg.model)
+    st = analytic.distance_stats(cfg.headway, cfg.model)
     stats = mc.run(cfg, workers=_get(params, "workers"))
 
     checks = [  # (metric label, report, required)

@@ -8,15 +8,14 @@ hop succeeds with probability
 
 and the per-hop failure probability is F_P = E[1 - p_s(H)]. Only this
 hop kernel differs from contention: `FadingModel` supplies its hop law
-to the compound-geometric core in `analytic`, and its hop kernel
-f_H p on [0, max_s] to the CDF solver `analytic.cdf`; the functions here
-are that core under fading names.
+and printed variance to the one record of `analytic.distance_stats`
+(fading has no bounds), and its hop kernel f_H p on [0, max_s] to the
+CDF solver `analytic.cdf`; the functions here are that core under
+fading names.
 
-`sweep_stats` evaluates many points, as `analyze` sweeps do: the first
+`FadingModel.hop_laws` lets `analytic.sweep_stats` evaluate the first
 quadrature level of up to _CHUNK density points at once, with one
-density per headway object (a link sweep's points share one), and every
-point that level does not settle alone, so its record or error is the
-one `fading_stats` gives.
+density per headway object (a link sweep's points share one).
 
 As with the contention model, the printed variance identity
 (`variance_fading_paper`, no mean-square term) and the
@@ -33,14 +32,12 @@ from typing import Callable
 import numpy as np
 
 from . import analytic
-from .analytic import _compound, _renewal
-from .errors import DegenerateProcessError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .headway import HeadwayDistribution
 from .quad import first_level_semi_infinite, integrate, integrate_semi_infinite
 
 __all__ = [
     "FadingModel",
-    "FadingStats",
     "success_prob",
     "hop_failure_prob",
     "mean_distance_fading",
@@ -118,8 +115,24 @@ class FadingModel:
 
     def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Simulated hop outcomes: uniform draw u below p_s(tau)."""
-        # (tau/d0)^alpha is 0 at tau = 0, so a zero gap succeeds (limit p_s -> 1)
-        return u < np.exp(-self._exponent(tau))
+        # (tau/d0)^alpha is 0 at tau = 0, so a zero gap succeeds (limit p_s -> 1).
+        # p_s(tau) = exp(-_exponent(tau)), bit for bit, built in place on one array
+        p = tau / self.ref_distance
+        p **= self.path_loss_exp
+        p *= self.decay
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        return u < p
+
+    def paper_forms(self, d: HeadwayDistribution, r) -> tuple[float]:
+        """(var_paper,): E[H^2 p_s(H)] / F_P from the closed forms r; no bounds."""
+        return (r.second,)
+
+    @staticmethod
+    def hop_laws(points: list) -> list:
+        """`_first_level_laws` of each _CHUNK points of the (d, f) points, in order."""
+        return [law for i in range(0, len(points), _CHUNK)
+                for law in _first_level_laws(points[i:i + _CHUNK])]
 
 
 def success_prob(f: FadingModel, tau: float) -> float:
@@ -187,7 +200,7 @@ def mean_distance_fading(f: FadingModel, d: HeadwayDistribution) -> float:
 
 def variance_fading_paper(f: FadingModel, d: HeadwayDistribution) -> float:
     """Printed identity: E[tau^2 p_s(tau)] / F_P, no mean-square term."""
-    return _renewal(d, f).second
+    return analytic.variance_paper(d, f)
 
 
 def variance_fading_renewal(f: FadingModel, d: HeadwayDistribution) -> float:
@@ -195,52 +208,13 @@ def variance_fading_renewal(f: FadingModel, d: HeadwayDistribution) -> float:
     return analytic.variance_renewal(d, f)
 
 
-@dataclass(frozen=True)
-class FadingStats:
-    """q_hop is the per-hop success probability 1 - F_P; cluster_size is E[N]."""
-
-    q_hop: float
-    mean: float
-    var_paper: float
-    var_renewal: float
-    cluster_size: float
+def fading_stats(f: FadingModel, d: HeadwayDistribution) -> analytic.DistanceStats:
+    """`analytic.distance_stats(d, f)`: every closed form, the bounds None."""
+    return analytic.distance_stats(d, f)
 
 
-def fading_stats(f: FadingModel, d: HeadwayDistribution) -> FadingStats:
-    return _record(_renewal(d, f))
-
-
-def _record(r: analytic._Renewal) -> FadingStats:
-    return FadingStats(r.q, r.mean, r.second, r.var_renewal, r.cluster_size)
-
-
-def sweep_stats(points: list[tuple[FadingModel, HeadwayDistribution]]) -> list:
-    """`fading_stats(f, d)` at each (f, d) of points, in order, or in its place
-    the ValidationError, DegenerateProcessError or NumericError it raises.
-
-    The hop law of a density on [lo, inf) is one mapped quadrature (`_expect`)
-    that mostly stops on its first level. Points are taken in chunks of
-    _CHUNK: the first levels of a chunk's such points are evaluated and summed
-    together (`quad.first_level_semi_infinite`), each point's integrand op for
-    op the one `hop_law` integrates, and each point whose own stop test passes
-    keeps its value. Every other point goes through `fading_stats`: atomic
-    and finite-support laws, points that need a second level, and every
-    point of a chunk where an integrand is non-finite or raises, so that such
-    a point meets its own error.
-    """
-    out = []
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start:start + _CHUNK]
-        for (f, d), law in zip(chunk, _first_level_laws(chunk)):
-            try:
-                out.append(fading_stats(f, d) if law is None else _record(_compound(*law)))
-            except (ValidationError, DegenerateProcessError, NumericError) as exc:
-                out.append(exc)
-    return out
-
-
-def _first_level_laws(chunk: list[tuple[FadingModel, HeadwayDistribution]]) -> list:
-    """f.hop_law(d) for each (f, d) of chunk whose quadrature stops on its first
+def _first_level_laws(chunk: list[tuple[HeadwayDistribution, FadingModel]]) -> list:
+    """f.hop_law(d) for each (d, f) of chunk whose quadrature stops on its first
     level, None for the others.
 
     The level evaluates each integrand once, on its nodes x, so the headway
@@ -251,13 +225,13 @@ def _first_level_laws(chunk: list[tuple[FadingModel, HeadwayDistribution]]) -> l
     integrates.
     """
     laws = [None] * len(chunk)
-    mapped = [i for i, (_, d) in enumerate(chunk)
+    mapped = [i for i, (d, _) in enumerate(chunk)
               if d.atoms() is None and d.support()[1] == math.inf]
     if not mapped:
         return laws
     level = {}  # id of a headway -> its (t, s f_H(t)) on the level's nodes
 
-    def integrand(f: FadingModel, d: HeadwayDistribution):
+    def integrand(d: HeadwayDistribution, f: FadingModel):
         def g(x):
             if id(d) not in level:
                 level[id(d)] = _scaled_density(d, d.support()[0])(x)

@@ -287,13 +287,14 @@ def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, monkeypatch
     params = cli._resolve(cli._build_parser().parse_args(["analyze", *argv]))
     name, values = cli._sweep_values(params)
     scenario = cli._SCENARIOS[params["scenario"]]
-    sizes = []  # points per call of the scenario's sweep
+    sizes = []  # points per call of the sweep
+    sweep_stats = cli.analytic.sweep_stats
 
     def sweep(points):
         sizes.append(len(points))
-        return scenario.sweep(points)
+        return sweep_stats(points)
 
-    monkeypatch.setitem(cli._SCENARIOS, params["scenario"], scenario._replace(sweep=sweep))
+    monkeypatch.setattr(cli.analytic, "sweep_stats", sweep)
     out = tmp_path / "s.csv"
     code = main(["analyze", *argv, "--out", str(out)])
     assert max(sizes, default=0) <= cli._CSV_CHUNK_ROWS
@@ -301,7 +302,7 @@ def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, monkeypatch
     for v in values:
         try:
             d, model = make(v)
-            st = scenario.stats(d, model)
+            st = cli.analytic.distance_stats(d, model)
         except (ValidationError, DegenerateProcessError, NumericError) as exc:
             expected.append([repr(v), *[""] * len(scenario.columns),
                              f"{type(exc).__name__}: {exc}"])

@@ -10,6 +10,7 @@ from vanetprop import (
     ContentionModel,
     DegenerateProcessError,
     DeterministicHeadway,
+    DistanceStats,
     EmpiricalHeadway,
     ExponentialHeadway,
     FadingModel,
@@ -30,6 +31,7 @@ from vanetprop import (
     variance_renewal,
 )
 from vanetprop import fading as fading_module
+from vanetprop.analytic import sweep_stats
 from vanetprop import quad
 
 
@@ -206,20 +208,21 @@ def test_canonical_fading_point_takes_few_levels(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_sweep_stats_is_fading_stats_at_each_point(monkeypatch):
+def test_sweep_stats_is_distance_stats_at_each_point(monkeypatch):
     # chunks mixing mapped laws that stop on the first level, mapped laws that
     # refine, finite, atomic and degenerate laws, points that share one
-    # headway object with points that have their own, and non-finite integrands
+    # headway object with points that have their own, non-finite integrands,
+    # and contention points, with their own typed errors
     laws = [ExponentialHeadway(rate=0.2), LognormalHeadway(log_mean=1.5, log_sd=0.6),
             LognormalHeadway(log_mean=1.5, log_sd=3.0), UniformHeadway(low=2.0, high=20.0),
             DeterministicHeadway(spacing=5.0), DeterministicHeadway(spacing=0.0),
             EmpiricalHeadway.from_samples([1.0, 2.0, 9.0]), ExponentialHeadway(rate=1e-3)]
-    points = [(model(c=c, alpha=a), d) for d in laws for c, a in ((0.05, 1.0), (1e-3, 6.0))]
+    points = [(d, model(c=c, alpha=a)) for d in laws for c, a in ((0.05, 1.0), (1e-3, 6.0))]
     first = fading_module._first_level_laws(points[:fading_module._CHUNK])
     assert any(first) and not all(first)
     # a link sweep over one headway object, between equal laws of their own
     shared = LognormalHeadway(log_mean=1.5, log_sd=0.6)
-    sweep = [(model(c=1e-3, alpha=float(a)), shared if i % 4 else LognormalHeadway(1.5, 0.6))
+    sweep = [(shared if i % 4 else LognormalHeadway(1.5, 0.6), model(c=1e-3, alpha=float(a)))
              for i, a in enumerate(np.linspace(1.0, 6.0, fading_module._CHUNK))]
     pdf_calls = []
     real_pdf = LognormalHeadway.pdf
@@ -234,22 +237,41 @@ def test_sweep_stats_is_fading_stats_at_each_point(monkeypatch):
     # whose integrands are non-finite, among laws that alone stop on level one
     heavy = LognormalHeadway(log_mean=700.0, log_sd=0.6)
     points += [*sweep,
-               (model(c=1e-3, alpha=2.0), LognormalHeadway(log_mean=700.0, log_sd=0.6)),
+               (LognormalHeadway(log_mean=700.0, log_sd=0.6), model(c=1e-3, alpha=2.0)),
                points[0],
-               (model(c=1e-3, alpha=2.0), heavy), sweep[1], (model(c=0.05, alpha=1.0), heavy),
-               sweep[2], (model(c=1e-3, alpha=3.0), heavy)]
+               (heavy, model(c=1e-3, alpha=2.0)), sweep[1], (heavy, model(c=0.05, alpha=1.0)),
+               sweep[2], (heavy, model(c=1e-3, alpha=3.0))]
+    # contention points among them: a heavy lognormal's variance overflows,
+    # and p_s = 1 with F_H(L) = 1 never fails a hop
+    contention = [(EXP, ContentionModel(p_s=0.9, max_range=100.0)),
+                  (heavy, ContentionModel(p_s=0.9, max_range=100.0)),
+                  (UniformHeadway(0.0, 10.0), ContentionModel(p_s=1.0, max_range=100.0))]
+    for k, point in enumerate(contention * 3):
+        points.insert(5 + 13 * k, point)
 
-    def alone(f, d):
+    def alone(d, m):
         try:
-            return repr(fading_stats(f, d))
+            return repr(distance_stats(d, m))
         except (DegenerateProcessError, NumericError) as exc:
             return f"{type(exc).__name__}: {exc}"
 
+    results = sweep_stats(points)
     got = [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else repr(r)
-           for r in fading_module.sweep_stats(points)]
-    assert got == [alone(f, d) for f, d in points]
+           for r in results]
+    assert got == [alone(d, m) for d, m in points]
     assert sum(g.startswith("NumericError: integrand") for g in got) == 4
-    assert any(g.startswith("DegenerateProcessError") for g in got)
+    assert sum(g.startswith("NumericError: lognormal variance") for g in got) == 3
+    assert sum(g.startswith("DegenerateProcessError") for g in got) == 2 + 3
+    # one record type for both channels; the bounds are contention-only
+    records = [(r, m) for r, (_, m) in zip(results, points) if not isinstance(r, Exception)]
+    assert {type(r) for r, _ in records} == {DistanceStats}
+    assert {type(m) for _, m in records} == {FadingModel, ContentionModel}
+    for r, m in records:
+        bounds = (r.mean_lower, r.mean_upper, r.var_lower, r.var_upper)
+        if isinstance(m, FadingModel):
+            assert bounds == (None, None, None, None)
+        else:
+            assert all(math.isfinite(b) for b in bounds)
 
 
 def test_uniform_hop_law_matches_its_closed_form_at_alpha_one():
