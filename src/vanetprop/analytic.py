@@ -40,9 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateProcessError, NumericError, ValidationError
+from .errors import DegenerateProcessError, NumericError, ValidationError, _check_real
 from .headway import HeadwayDistribution
-from .quad import CdfCurve, _lag_weights, _march, _repair, _snap_index
+from .quad import CdfCurve, _grid_points, _lag_weights, _march, _repair, _snap_index
 
 __all__ = [
     "ContentionModel",
@@ -70,11 +70,8 @@ class ContentionModel:
     max_range: float
 
     def __post_init__(self):
-        if not (isinstance(self.p_s, (int, float)) and 0.0 <= self.p_s <= 1.0):
-            raise ValidationError(f"p_s must lie in [0, 1], got {self.p_s!r}")
-        if not (isinstance(self.max_range, (int, float)) and math.isfinite(self.max_range)) \
-                or self.max_range <= 0:
-            raise ValidationError(f"max_range must be finite and > 0, got {self.max_range!r}")
+        _check_real("p_s", self.p_s, 0.0, 1.0)
+        _check_real("max_range", self.max_range, 0.0, strict=True)
 
     def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
         """(q, 1 - q, m1, m2) for p(tau) = p_s 1{tau <= L}: q = p_s F_H(L), m_k = p_s I_k(L)."""
@@ -215,13 +212,9 @@ def mean_cluster_size(d: HeadwayDistribution, m) -> float:
 
 
 def _solver_setup(d: HeadwayDistribution, m, grid_step: float, max_s: float):
-    """(1 - q, grid size, m's hop kernel), after the grid's, m's and the degeneracy checks."""
-    if not grid_step > 0.0:
-        raise ValidationError(f"grid_step must be > 0, got {grid_step!r}")
-    kernel = m.hop_kernel(d, grid_step, max_s)
-    if not (math.isfinite(max_s) and max_s >= grid_step):
-        raise ValidationError(f"max_s must be finite and >= grid_step, got {max_s!r}")
-    return _renewal(d, m).fail, int(math.floor(max_s / grid_step + 1e-9)) + 1, kernel
+    """(grid size, m's hop kernel, 1 - q), checked in that order: the grid, m's grid
+    and the degeneracy."""
+    return _grid_points(grid_step, max_s), m.hop_kernel(d, grid_step, max_s), _renewal(d, m).fail
 
 
 def cdf(d: HeadwayDistribution, m, grid_step: float, max_s: float) -> CdfCurve:
@@ -229,7 +222,7 @@ def cdf(d: HeadwayDistribution, m, grid_step: float, max_s: float) -> CdfCurve:
     which is 1 - q unless gaps can be exactly 0; later grid values by implicit
     trapezoidal marching against the lag weights of the model's hop kernel f_H p,
     then monotonicity repair (decreases below 1e-6 clamp, anything larger raises)."""
-    fail, n, (coef, shape, upper, mass) = _solver_setup(d, m, grid_step, max_s)
+    n, (coef, shape, upper, mass), fail = _solver_setup(d, m, grid_step, max_s)
     w, dw = _lag_weights(d, shape, mass, coef, grid_step, upper)
     const = np.full(n, fail)
     # row 0 of the renewal equation, F_D(0) = 1 - q + p(0) P(H = 0) F_D(0):
@@ -256,7 +249,7 @@ def solve_printed_cdf(headway, p_s: float, max_range: float,
     be reported, never for downstream use.
     """
     m = ContentionModel(p_s, max_range)
-    fail, n, (_, shape, upper, mass) = _solver_setup(headway, m, grid_step, max_s)
+    n, (_, shape, upper, mass), fail = _solver_setup(headway, m, grid_step, max_s)
     K = min(int(_snap_index(max_range / grid_step)[0]), n - 1)
     F_H = headway.cdf(np.append(np.arange(1, K + 1) * grid_step, max_range))
     const = np.full(n, 1.0 - F_H[-1])

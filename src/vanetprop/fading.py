@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytic
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_real
 from .headway import HeadwayDistribution
 from .quad import first_level_semi_infinite, integrate, integrate_semi_infinite
 
@@ -73,15 +73,9 @@ class FadingModel:
     power_threshold: float
 
     def __post_init__(self):
-        for name in ("tx_power", "gain_const", "ref_distance", "path_loss_exp",
-                     "power_threshold"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
-        if not 1.0 <= self.path_loss_exp <= 6.0:
-            raise ValidationError(
-                f"path_loss_exp must lie in [1, 6], got {self.path_loss_exp!r}"
-            )
+        for name in ("tx_power", "gain_const", "ref_distance", "power_threshold"):
+            _check_real(name, getattr(self, name), 0.0, strict=True)
+        _check_real("path_loss_exp", self.path_loss_exp, 1.0, 6.0)
 
     @property
     def decay(self) -> float:
@@ -137,9 +131,8 @@ class FadingModel:
 
 def success_prob(f: FadingModel, tau: float) -> float:
     """P(hop over gap tau succeeds). tau -> 0+ limit is 1."""
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau)) or tau <= 0:
-        raise ValidationError(f"gap must be finite and > 0, got {tau!r}")
-    return math.exp(-f.decay * (tau / f.ref_distance) ** f.path_loss_exp)
+    _check_real("tau", tau, 0.0, strict=True)
+    return math.exp(-f._exponent(tau))
 
 
 def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],

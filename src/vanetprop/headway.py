@@ -4,10 +4,14 @@ Distances are meters throughout. A headway distribution is supported on
 [0, inf) with finite mean and variance; the analytical layer only ever
 touches it through pdf/cdf, its support, truncated moments and sampling,
 so adding a family means implementing this interface and nothing else.
+`truncated_moment` checks its arguments once and calls the family's
+`_truncated_moment`; a law is atomic, with no density, when `atoms()`
+returns its measure.
 
-Instances are frozen dataclasses: immutable after construction, so the
-simulator's worker processes, which get them by the fork or pickled, see
-exactly the parent's instances.
+Instances are frozen dataclasses whose numeric parameters pass
+`errors._check_real` (an int or a float, never a bool). They are
+immutable after construction, so the simulator's worker processes, which
+get them by the fork or pickled, see exactly the parent's instances.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedOrderError, ValidationError
+from .errors import NumericError, UnsupportedOrderError, ValidationError, _check_real
 
 __all__ = [
     "HeadwayDistribution",
@@ -86,16 +90,6 @@ def _density_args(x) -> np.ndarray:
     return x
 
 
-def _check_order(order: int) -> None:
-    if order not in (1, 2):
-        raise UnsupportedOrderError(f"truncated moment order must be 1 or 2, got {order!r}")
-
-
-def _check_upper(upper: float) -> None:
-    if not (isinstance(upper, (int, float)) and math.isfinite(upper)) or upper < 0:
-        raise ValidationError(f"truncation point must be finite and >= 0, got {upper!r}")
-
-
 class HeadwayDistribution(ABC):
     """Interface every headway family implements."""
 
@@ -134,17 +128,21 @@ class HeadwayDistribution(ABC):
         """(lo, hi): the density vanishes outside [lo, hi]; hi may be inf."""
         return 0.0, math.inf
 
-    # False for atomic laws, whose pdf raises; only bench/tracer.py reads it
-    has_density: bool = True
+    @property
+    def has_density(self) -> bool:
+        """False for atomic laws, whose pdf raises; only bench/tracer.py reads it."""
+        return self.atoms() is None
 
     def truncated_moment(self, order: int, upper: float) -> float:
-        """integral_0^upper tau^order f_H(tau) dtau for order in {1, 2}.
+        """integral_0^upper tau^order f_H(tau) dtau, order in {1, 2}, finite upper >= 0."""
+        if order not in (1, 2) or order is True:  # True == 1, but is no order
+            raise UnsupportedOrderError(f"truncated moment order must be 1 or 2, got {order!r}")
+        _check_real("upper", upper, 0.0)
+        return self._truncated_moment(order, upper)
 
-        Families with a closed form override this; the fallback integrates
-        the density adaptively at relative tolerance 1e-10.
-        """
-        _check_order(order)
-        _check_upper(upper)
+    def _truncated_moment(self, order: int, upper: float) -> float:
+        """`truncated_moment` on checked arguments: a closed form in each family,
+        else the density integrated adaptively at relative tolerance 1e-10."""
         from .quad import integrate
 
         return integrate(lambda t: t ** order * self.pdf(t), 0.0, upper, rel_tol=1e-10).value
@@ -157,8 +155,7 @@ class ExponentialHeadway(HeadwayDistribution):
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate)) or self.rate <= 0:
-            raise ValidationError(f"rate must be finite and > 0, got {self.rate!r}")
+        _check_real("rate", self.rate, 0.0, strict=True)
 
     def pdf(self, x):
         return _like(self.rate * np.exp(-self.rate * _density_args(x)))
@@ -177,7 +174,7 @@ class ExponentialHeadway(HeadwayDistribution):
             raise NumericError(f"variance 1 / rate^2 at rate {self.rate!r} overflows a float")
         return v
 
-    def truncated_moment(self, order: int, upper: float) -> float:
+    def _truncated_moment(self, order: int, upper: float) -> float:
         """Integration by parts, for x = rU >= 1:
 
         I1(U) = (1 - e^{-x}(1 + x)) / r
@@ -189,8 +186,6 @@ class ExponentialHeadway(HeadwayDistribution):
         * sum_n x^n / ((a+1)...(a+n)), written as r U^{k+1} e^{-x} / (k+1) *
         sum_n ..., which never forms r^k.
         """
-        _check_order(order)
-        _check_upper(upper)
         x = self.rate * upper
         e = math.exp(-x)
         if x < _EXP_SERIES_X:
@@ -218,16 +213,8 @@ class UniformHeadway(HeadwayDistribution):
     high: float
 
     def __post_init__(self):
-        ok = (
-            isinstance(self.low, (int, float))
-            and isinstance(self.high, (int, float))
-            and math.isfinite(self.low)
-            and math.isfinite(self.high)
-        )
-        if not ok or self.low < 0 or self.low >= self.high:
-            raise ValidationError(
-                f"need 0 <= low < high, got low={self.low!r} high={self.high!r}"
-            )
+        _check_real("low", self.low, 0.0)
+        _check_real("high", self.high, self.low, strict=True)
 
     def pdf(self, x):
         x = _density_args(x)
@@ -247,9 +234,7 @@ class UniformHeadway(HeadwayDistribution):
     def support(self) -> tuple[float, float]:
         return self.low, self.high
 
-    def truncated_moment(self, order: int, upper: float) -> float:
-        _check_order(order)
-        _check_upper(upper)
+    def _truncated_moment(self, order: int, upper: float) -> float:
         m = min(upper, self.high)
         if m <= self.low:
             return 0.0
@@ -269,16 +254,8 @@ class LognormalHeadway(HeadwayDistribution):
     log_sd: float
 
     def __post_init__(self):
-        ok = (
-            isinstance(self.log_mean, (int, float))
-            and isinstance(self.log_sd, (int, float))
-            and math.isfinite(self.log_mean)
-            and math.isfinite(self.log_sd)
-        )
-        if not ok or self.log_sd <= 0:
-            raise ValidationError(
-                f"need finite log_mean and log_sd > 0, got {self.log_mean!r}, {self.log_sd!r}"
-            )
+        _check_real("log_mean", self.log_mean)
+        _check_real("log_sd", self.log_sd, 0.0, strict=True)
 
     def pdf(self, x):
         x = _density_args(x)
@@ -317,7 +294,7 @@ class LognormalHeadway(HeadwayDistribution):
         log_expm1 = s2 + math.log(-math.expm1(-s2)) if s2 > 0.0 else 2.0 * math.log(self.log_sd)
         return _exp(2.0 * self.log_mean + s2 + log_expm1, "lognormal variance")
 
-    def truncated_moment(self, order: int, upper: float) -> float:
+    def _truncated_moment(self, order: int, upper: float) -> float:
         """Truncated-lognormal identity:
 
         integral_0^U x^k f(x) dx
@@ -326,8 +303,6 @@ class LognormalHeadway(HeadwayDistribution):
         Where exp(k*m + k^2 s^2 / 2) overflows, the product is taken in logs;
         NumericError if the moment itself overflows.
         """
-        _check_order(order)
-        _check_upper(upper)
         if upper == 0:
             return 0.0
         k = float(order)
@@ -354,12 +329,9 @@ class DeterministicHeadway(HeadwayDistribution):
     """Point mass at `spacing` (platoon with fixed gaps). spacing = 0 is allowed."""
 
     spacing: float
-    has_density = False
 
     def __post_init__(self):
-        if not (isinstance(self.spacing, (int, float)) and math.isfinite(self.spacing)) \
-                or self.spacing < 0:
-            raise ValidationError(f"spacing must be finite and >= 0, got {self.spacing!r}")
+        _check_real("spacing", self.spacing, 0.0)
 
     def pdf(self, x):
         raise ValidationError("a point mass has no density; use atoms()")
@@ -376,9 +348,7 @@ class DeterministicHeadway(HeadwayDistribution):
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.spacing]), np.array([1.0])
 
-    def truncated_moment(self, order: int, upper: float) -> float:
-        _check_order(order)
-        _check_upper(upper)
+    def _truncated_moment(self, order: int, upper: float) -> float:
         return self.spacing ** order if self.spacing <= upper else 0.0
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -396,7 +366,6 @@ class EmpiricalHeadway(HeadwayDistribution):
     """
 
     samples: np.ndarray
-    has_density = False
 
     def __post_init__(self):
         data = np.asarray(self.samples, dtype=float)
@@ -440,10 +409,8 @@ class EmpiricalHeadway(HeadwayDistribution):
         values, counts = np.unique(self.samples, return_counts=True)
         return values, counts / self.samples.size
 
-    def truncated_moment(self, order: int, upper: float) -> float:
+    def _truncated_moment(self, order: int, upper: float) -> float:
         """Exact summation over the data: mean of x^order over x <= upper."""
-        _check_order(order)
-        _check_upper(upper)
         k = int(np.searchsorted(self.samples, upper, side="right"))
         if k == 0:
             return 0.0

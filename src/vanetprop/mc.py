@@ -40,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ContentionModel, hop_failure_prob
-from .errors import DegenerateProcessError, ValidationError
+from .errors import DegenerateProcessError, ValidationError, _check_real
 from .fading import FadingModel
 from .headway import HeadwayDistribution
-from .quad import CdfCurve
+from .quad import CdfCurve, _grid_points
 
 __all__ = ["SimConfig", "SimStats", "ComparisonReport", "run", "compare"]
 
@@ -61,8 +61,6 @@ CDF_SUPNORM_ALPHA = 1e-3
 # 20 s on one worker; as q -> 1 a run would take hours to days.
 MAX_MEAN_HOPS = 1.0e4
 
-_MAX_SEED = 2 ** 64 - 1
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -75,19 +73,14 @@ class SimConfig:
     ecdf_grid: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or not (0 <= self.seed <= _MAX_SEED):
-            raise ValidationError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if not isinstance(self.headway, HeadwayDistribution):
+            raise ValidationError(f"headway must be a HeadwayDistribution, got {self.headway!r}")
         if not isinstance(self.model, (ContentionModel, FadingModel)):
             raise ValidationError(f"model must be ContentionModel or FadingModel, got {self.model!r}")
+        _check_real("trials", self.trials, 1, integer=True)
+        _check_real("seed", self.seed, 0, 2 ** 64 - 1, integer=True)
         if self.ecdf_grid is not None:
-            step, max_s = self.ecdf_grid
-            if not (isinstance(step, (int, float)) and 0 < step) \
-                    or not (isinstance(max_s, (int, float)) and step <= max_s < math.inf):
-                raise ValidationError("ecdf_grid must be (step > 0, finite max_s >= step), "
-                                      f"got {self.ecdf_grid!r}")
+            _grid_points(*self.ecdf_grid)
 
 
 @dataclass(frozen=True)
@@ -465,8 +458,7 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     fail or E[N] = q/(1-q) exceeds MAX_MEAN_HOPS: such trials would never
     end, or not in useful time.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    _check_real("workers", workers, 1, integer=True)
     fail = hop_failure_prob(cfg.headway, cfg.model)
     if fail <= 0.0:
         raise DegenerateProcessError(
@@ -478,8 +470,7 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
             f"{MAX_MEAN_HOPS:g}: trials would not terminate in useful time")
     size = None  # grid points of the ECDF
     if cfg.ecdf_grid is not None:
-        step, max_s = cfg.ecdf_grid
-        size = int(math.floor(max_s / step + 1e-9)) + 1
+        size = _grid_points(*cfg.ecdf_grid)
 
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
     workers = min(workers, n_blocks)
@@ -527,7 +518,7 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         # counts stay below 2^53, so a float cumsum is exact
         values = np.cumsum(counts[:size], dtype=np.float64)
         values /= n
-        ecdf = CdfCurve(step, max_s, values)
+        ecdf = CdfCurve(*cfg.ecdf_grid, values)
     return SimStats(
         trials=n,
         mean_D=mean,

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _check_real, _is_number
 
 __all__ = [
     "QuadResult",
@@ -169,12 +169,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Raises NumericError (carrying the best estimate) if that needs more
     than max_panels panels.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
-    if b < a:
-        raise ValidationError(f"need a <= b, got [{a!r}, {b!r}]")
-    if not (rel_tol > 0):
-        raise ValidationError(f"rel_tol must be > 0, got {rel_tol!r}")
+    _check_real("a", a)
+    _check_real("b", b, a)
+    _check_real("rel_tol", rel_tol, 0.0, strict=True)
     if a == b:
         zero = np.zeros(_values(f, np.array([a])).shape[:-1])
         return QuadResult(_scalar(zero), _scalar(zero), 1)
@@ -209,15 +206,14 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], a: float,
-                            rel_tol: float = 1e-10, max_panels: int = MAX_PANELS) -> QuadResult:
+                            rel_tol: float = 1e-10) -> QuadResult:
     """Integrate f over [a, inf) via tau = a + t/(1-t), t in [0, 1), as `integrate` does.
 
     f must be absolutely integrable; values at huge arguments should
     decay to 0 (all headway densities do).
     """
-    if not math.isfinite(a):
-        raise ValidationError(f"lower bound must be finite, got {a!r}")
-    return integrate(_mapped([f], a), 0.0, 1.0, rel_tol=rel_tol, max_panels=max_panels)
+    _check_real("a", a)
+    return integrate(_mapped([f], a), 0.0, 1.0, rel_tol=rel_tol)
 
 
 def _mapped(fs: list[Callable[[np.ndarray], np.ndarray]], a: float):
@@ -246,8 +242,7 @@ def first_level_semi_infinite(fs: list[Callable[[np.ndarray], np.ndarray]], a: f
     is the one `integrate_semi_infinite` returns, to the last bit. Raises
     NumericError where any integrand is non-finite, as `integrate` does.
     """
-    if not math.isfinite(a):
-        raise ValidationError(f"lower bound must be finite, got {a!r}")
+    _check_real("a", a)
     lo, hi = _first_panels(0.0, 1.0, MAX_PANELS)
     val, err = _level(_mapped(fs, a), lo, hi)
     shape = (len(fs), -1, lo.size)
@@ -272,6 +267,15 @@ class CdfCurve:
             f"CdfCurve(grid_step={self.grid_step}, max_s={self.max_s}, "
             f"n={self.values.size})"
         )
+
+
+def _grid_points(grid_step: float, max_s: float) -> int:
+    """The size of the grid j * grid_step on [0, max_s] that every CDF curve and
+    ECDF is sampled on, once grid_step > 0 and max_s is finite and >= grid_step."""
+    if not (_is_number(grid_step) and _is_number(max_s) and 0 < grid_step <= max_s < math.inf):
+        raise ValidationError("grid_step and max_s must satisfy 0 < grid_step <= max_s with "
+                              f"a finite max_s, got grid_step={grid_step!r}, max_s={max_s!r}")
+    return int(math.floor(max_s / grid_step + 1e-9)) + 1
 
 
 def _repair(values: np.ndarray) -> np.ndarray:

@@ -308,6 +308,8 @@ def test_truncated_moment_rejects_bad_order_and_upper():
         d.truncated_moment(3, 10.0)
     with pytest.raises(UnsupportedOrderError):
         d.truncated_moment(0, 10.0)
+    with pytest.raises(UnsupportedOrderError):
+        d.truncated_moment(True, 10.0)  # bool is an int subclass, but not an order
     with pytest.raises(ValidationError):
         d.truncated_moment(1, -1.0)
     with pytest.raises(ValidationError):

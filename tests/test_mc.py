@@ -845,6 +845,8 @@ def test_config_validation():
         SimConfig(EXP, M_EXP, trials=10, seed=2 ** 64)
     with pytest.raises(ValidationError):
         SimConfig(EXP, "contention", trials=10, seed=0)
+    with pytest.raises(ValidationError, match="headway"):
+        SimConfig("exponential", M_EXP, trials=10, seed=0)
     with pytest.raises(ValidationError):
         SimConfig(EXP, M_EXP, trials=10, seed=0, ecdf_grid=(0.0, 100.0))
     with pytest.raises(ValidationError):
