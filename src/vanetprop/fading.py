@@ -88,8 +88,7 @@ class FadingModel:
 
     def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
         """(1 - F_P, F_P, E[H p_s(H)], E[H^2 p_s(H)]): one stacked expectation under d."""
-        fail, m1, m2 = _expect(d, self._hop_stack).tolist()
-        return 1.0 - fail, fail, m1, m2
+        return _law(_expect(d, self._hop_stack))
 
     def _hop_stack(self, t: np.ndarray) -> np.ndarray:
         """(1 - p_s, tau p_s, tau^2 p_s) at the gaps t: the integrands of `hop_law`."""
@@ -154,14 +153,24 @@ def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],
     hi = min(hi, upper)
     if hi < math.inf:
         return integrate(lambda t: d.pdf(t) * g(t), lo, max(lo, hi), rel_tol=_REL_TOL).value
-    return integrate_semi_infinite(_mean_scaled(d, lo, g), 0.0, rel_tol=_REL_TOL).value
+    return integrate_semi_infinite(_mean_scaled(_scaled_density(d), g), 0.0,
+                                   rel_tol=_REL_TOL).value
 
 
-def _mean_scaled(d: HeadwayDistribution, lo: float, g: Callable[[np.ndarray], np.ndarray]):
-    """x -> s f_H(t) g(t) at t = lo + s x, s = d.mean(): E[g(H)] over [lo, inf)
-    as an integral over x in [0, inf)."""
-    density = _scaled_density(d, lo)
+def _scaled_density(d: HeadwayDistribution):
+    """x -> (t, s f_H(t)) at t = lo + s x, with lo the lower edge of d's support
+    and s = d.mean(): the map of [lo, inf) onto x in [0, inf), at the law's scale."""
+    lo, s = d.support()[0], d.mean()
 
+    def density(x):
+        t = lo + s * x
+        return t, s * d.pdf(t)
+
+    return density
+
+
+def _mean_scaled(density, g: Callable[[np.ndarray], np.ndarray]):
+    """x -> s f_H(t) g(t) at (t, s f_H(t)) = density(x): E[g(H)] as an integral in x."""
     def f(x):
         t, sf = density(x)
         return sf * g(t)
@@ -169,16 +178,10 @@ def _mean_scaled(d: HeadwayDistribution, lo: float, g: Callable[[np.ndarray], np
     return f
 
 
-def _scaled_density(d: HeadwayDistribution, lo: float):
-    """x -> (t, s f_H(t)) at t = lo + s x, s = d.mean(): the headway half of
-    `_mean_scaled`."""
-    s = d.mean()
-
-    def density(x):
-        t = lo + s * x
-        return t, s * d.pdf(t)
-
-    return density
+def _law(stack: np.ndarray) -> tuple[float, float, float, float]:
+    """(1 - F_P, F_P, m1, m2) from the stacked expectation (F_P, m1, m2)."""
+    fail, m1, m2 = stack.tolist()
+    return 1.0 - fail, fail, m1, m2
 
 
 def hop_failure_prob(f: FadingModel, d: HeadwayDistribution) -> float:
@@ -210,12 +213,9 @@ def _first_level_laws(chunk: list[tuple[HeadwayDistribution, FadingModel]]) -> l
     """f.hop_law(d) for each (d, f) of chunk whose quadrature stops on its first
     level, None for the others.
 
-    The level evaluates each integrand once, on its nodes x, so the headway
-    half of `_mean_scaled` (`_scaled_density`: t = lo + s x and s f_H(t)) is
-    evaluated once per distinct headway object and multiplied into the
-    `_hop_stack(t)` of each of its points: a link sweep's points share one
-    density. Each point's integrand stays, op for op, the one `hop_law`
-    integrates.
+    The level calls every integrand once, on the same nodes x, so `shared`
+    evaluates each distinct headway object's `_scaled_density` once: a link
+    sweep's points share one density. Each integrand is the one `hop_law` integrates.
     """
     laws = [None] * len(chunk)
     mapped = [i for i, (d, _) in enumerate(chunk)
@@ -224,22 +224,22 @@ def _first_level_laws(chunk: list[tuple[HeadwayDistribution, FadingModel]]) -> l
         return laws
     level = {}  # id of a headway -> its (t, s f_H(t)) on the level's nodes
 
-    def integrand(d: HeadwayDistribution, f: FadingModel):
-        def g(x):
-            if id(d) not in level:
-                level[id(d)] = _scaled_density(d, d.support()[0])(x)
-            t, sf = level[id(d)]
-            return sf * f._hop_stack(t)
+    def shared(d: HeadwayDistribution):
+        density = _scaled_density(d)
 
-        return g
+        def once(x):
+            if id(d) not in level:
+                level[id(d)] = density(x)
+            return level[id(d)]
+
+        return once
 
     try:
-        values = first_level_semi_infinite([integrand(*chunk[i]) for i in mapped],
-                                           0.0, _REL_TOL)
+        values = first_level_semi_infinite(
+            [_mean_scaled(shared(d), f._hop_stack) for d, f in (chunk[i] for i in mapped)],
+            0.0, _REL_TOL)
     except (ValidationError, NumericError):
         return laws
     for i, v in zip(mapped, values):
-        if v is not None:
-            fail, m1, m2 = v.tolist()
-            laws[i] = (1.0 - fail, fail, m1, m2)
+        laws[i] = None if v is None else _law(v)
     return laws

@@ -80,7 +80,12 @@ class SimConfig:
         _check_real("trials", self.trials, 1, integer=True)
         _check_real("seed", self.seed, 0, 2 ** 64 - 1, integer=True)
         if self.ecdf_grid is not None:
-            _grid_points(*self.ecdf_grid)
+            try:
+                grid_step, max_s = self.ecdf_grid
+            except (TypeError, ValueError):
+                raise ValidationError("ecdf_grid must be a (grid_step, max_s) pair, "
+                                      f"got {self.ecdf_grid!r}") from None
+            _grid_points(grid_step, max_s)
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,20 @@ def test_tail_expectation_bound_far_from_mean(d, k):
     assert tail <= _tail_bound(d, z) + 1e-12
 
 
+@pytest.mark.parametrize("d", all_families(), ids=repr)
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_scarf_bound_on_the_excess_over_a_cutoff(d, k):
+    # E[(H - z)+] = mu - I1(z) - z (1 - F(z)) for a cutoff z below, at and
+    # above the mean, against Scarf's bound (sqrt(sigma^2 + (z - mu)^2) -
+    # (z - mu)) / 2: the largest E[(H - z)+] of any law with this mean and
+    # variance, and the estimate ContentionModel.paper_forms takes for mean_lower
+    mu = d.mean()
+    z = k * mu
+    gap = z - mu
+    excess = mu - d.truncated_moment(1, z) - z * (1.0 - d.cdf(z))
+    assert excess <= 0.5 * (math.sqrt(d.variance() + gap * gap) - gap) + 1e-12 * mu
+
+
 @pytest.mark.xfail(strict=True,
                    reason="the distribution-free tail estimate bounds E[(H-z)+], "
                           "not E[H 1{H>z}]; it fails for cutoffs near the mean "

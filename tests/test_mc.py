@@ -851,6 +851,10 @@ def test_config_validation():
         SimConfig(EXP, M_EXP, trials=10, seed=0, ecdf_grid=(0.0, 100.0))
     with pytest.raises(ValidationError):
         SimConfig(EXP, M_EXP, trials=10, seed=0, ecdf_grid=(5.0, 1.0))
+    # a grid that is not a (grid_step, max_s) pair is refused by its name
+    for grid in (5.0, (1.0,), (0.5, 100.0, 3)):
+        with pytest.raises(ValidationError, match="ecdf_grid"):
+            SimConfig(EXP, M_EXP, trials=10, seed=0, ecdf_grid=grid)
     with pytest.raises(ValidationError):
         run(SimConfig(EXP, M_EXP, trials=10, seed=0), workers=0)
     # bool is an int subclass, but True is not a count
