@@ -4,6 +4,7 @@ distance along a 1-D vehicle chain."""
 __version__ = "0.1.0"
 
 from .analytic import (
+    ChannelModel,
     ContentionModel,
     DistanceStats,
     cdf,
@@ -51,7 +52,7 @@ from .quad import (
 
 __all__ = [
     "__version__",
-    "ContentionModel", "DistanceStats", "cdf", "distance_stats",
+    "ChannelModel", "ContentionModel", "DistanceStats", "cdf", "distance_stats",
     "mean_cluster_size", "mean_distance", "mean_distance_bounds",
     "variance_bounds", "variance_paper", "variance_renewal",
     "DegenerateProcessError", "NumericError", "UnsupportedOrderError",

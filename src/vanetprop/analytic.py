@@ -4,17 +4,21 @@ A message starts at vehicle 0 and hops down the chain. A hop over gap H
 succeeds with probability p(H), independently of every other hop; the
 first failed hop ends the process. D is the total distance covered, N
 the number of vehicles reached. Under any hop kernel p, D is a geometric
-compound sum. `ContentionModel` (here, p(tau) = p_s 1{tau <= L}) and
-`FadingModel` (fading module) each supply their hop law q = E[p(H)],
-1 - q, m1 = E[H p(H)] and m2 = E[H^2 p(H)], and the simulator's hop
-test. One core turns the law into E[D] = m1/(1-q), the renewal variance
-m2/(1-q) + E[D]^2 and E[N] = q/(1-q), and raises DegenerateProcessError
-where 1 - q = 0.
+compound sum, so a `ChannelModel` is its kernel: it gives p (`success`),
+the stack (1 - p, tau p, tau^2 p) and its printed forms, and the core
+derives the rest. Its hop law, q = E[p(H)], 1 - q, m1 = E[H p(H)] and
+m2 = E[H^2 p(H)], is one stacked expectation under the gap law
+(`_expect`); its CDF kernel is f_H p on [0, max_s]; its simulated hop
+succeeds where u < p(tau). `ContentionModel` (p(tau) = p_s 1{tau <= L})
+overrides all three with closed forms instead. The core turns the law into
+E[D] = m1/(1-q), the renewal variance m2/(1-q) + E[D]^2 and
+E[N] = q/(1-q), and raises DegenerateProcessError where 1 - q = 0.
 
-`distance_stats(d, model)` returns one record for either model: the
-core's closed forms, and the printed variance and bounds the model
-supplies (`paper_forms`; fading has no bounds). `sweep_stats` takes many
-points, and lets each model class settle their hop laws together.
+`distance_stats(d, m)` returns one record for any model: the core's
+closed forms, and the printed variance and bounds the model supplies
+(`paper_forms`; fading has no bounds). `sweep_stats` takes many points;
+those whose model keeps the core's hop law share their first quadrature
+level (`_first_level_laws`).
 
 Two variance routes are exposed on purpose: `variance_paper` evaluates
 the printed second-moment identity, whose cross term drops the square of
@@ -23,28 +27,29 @@ variance. They disagree whenever propagation can continue past one hop;
 simulation arbitrates (see the mc module). Bounds enclose the printed
 variant, which is what they were derived against.
 
-`cdf` is the one CDF solver, for either model: it solves the renewal
-equation F_D(s) = 1 - q + int_0^s f_H(t) p(t) F_D(s - t) dt with the hop
-kernel f_H p = p(0) f_H shape on [0, upper] from the model's
-`hop_kernel`, and `quad` marches its lag weights. `solve_renewal_cdf`
-is `cdf` under a contention model; `solve_printed_cdf` evaluates the
-form printed in the source theorem, unrepaired, for discrepancy
-reporting only.
+`cdf` is the one CDF solver: it solves the renewal equation
+F_D(s) = 1 - q + int_0^s f_H(t) p(t) F_D(s - t) dt with the model's
+`hop_kernel`, f_H p = p(0) f_H shape on [0, upper], and `quad` marches
+its lag weights. `solve_renewal_cdf` is `cdf` under a contention model;
+`solve_printed_cdf` evaluates the form printed in the source theorem,
+unrepaired, for discrepancy reporting only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateProcessError, NumericError, ValidationError, _check_real
 from .headway import HeadwayDistribution
-from .quad import CdfCurve, _grid_points, _lag_weights, _march, _repair, _snap_index
+from .quad import (CdfCurve, _grid_points, _lag_weights, _march, _repair, _snap_index,
+                   first_level_semi_infinite, integrate, integrate_semi_infinite)
 
 __all__ = [
+    "ChannelModel",
     "ContentionModel",
     "DistanceStats",
     "hop_failure_prob",
@@ -61,9 +66,40 @@ __all__ = [
     "solve_printed_cdf",
 ]
 
+# headway densities are smooth; push the quadrature well below the 1e-9
+# closed-form acceptance tolerance
+_REL_TOL = 1e-11
+
+# sweep points whose first quadrature levels are evaluated together: a level
+# holds 3 x 480 values per point, and chunks keep a long sweep's arrays small
+_CHUNK = 16
+
+
+class ChannelModel:
+    """A per-hop success kernel p(tau), and what the core derives from it.
+
+    A model gives `success(tau)`, p at an array of gaps or at one float;
+    `_hop_stack(t)`, the stack (1 - p, t p, t^2 p) at an array of gaps t;
+    and `paper_forms(d, r)`, its printed variance and bounds. A model that
+    overrides the three methods here with closed forms needs only the last.
+    """
+
+    def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
+        """(q, 1 - q, E[H p(H)], E[H^2 p(H)]): one stacked expectation under d."""
+        return _law(_expect(d, self._hop_stack))
+
+    def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
+        """f_H p on [0, max_s]: (1, shape p, upper max_s, mass E[p(H); H <= max_s]
+        as a callable). No range cutoff, so no range-relative grid check."""
+        return 1.0, self.success, max_s, lambda: float(_expect(d, self.success, max_s))
+
+    def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Simulated hop outcomes: uniform draw u below p(tau)."""
+        return u < self.success(tau)
+
 
 @dataclass(frozen=True)
-class ContentionModel:
+class ContentionModel(ChannelModel):
     """Constant per-hop success probability p_s, hard reception cutoff max_range (m)."""
 
     p_s: float
@@ -111,11 +147,6 @@ class ContentionModel:
                 var_lower,
                 (p_s * L * mu - p_s * L * L * tail) / r.fail + var_lower)
 
-    @staticmethod
-    def hop_laws(points: list) -> list:
-        """None for each point: a contention hop law is closed, with nothing to share."""
-        return [None] * len(points)
-
 
 class _Renewal(NamedTuple):
     """The compound-geometric law of D at one (headway, model) point."""
@@ -145,13 +176,99 @@ def _compound(q: float, fail: float, m1: float, m2: float) -> _Renewal:
     return _Renewal(q, fail, second, mean, second + mean * mean, q / fail)
 
 
+def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],
+            upper: float = math.inf):
+    """E[g(H); H <= upper] for g mapping an array of gaps to values (a float
+    result), or to an (m, gaps) stack (an (m,) array): one weighted sum over the
+    atoms of an atomic family, else one adaptive quadrature of the whole stack
+    over the support [lo, hi] of the density. A finite [lo, min(hi, upper)] is
+    integrated as it stands, so its edges are panel edges; an infinite one is
+    mapped at the law's scale, tau = lo + mean * x, so that its mass sits near
+    x ~ 1 of the semi-infinite map."""
+    at = d.atoms()
+    if at is not None:
+        values, weights = at
+        keep = values <= upper
+        return g(values[keep]) @ weights[keep]
+
+    lo, hi = d.support()
+    hi = min(hi, upper)
+    if hi < math.inf:
+        return integrate(lambda t: d.pdf(t) * g(t), lo, max(lo, hi), rel_tol=_REL_TOL).value
+    return integrate_semi_infinite(_mean_scaled(_scaled_density(d), g), 0.0,
+                                   rel_tol=_REL_TOL).value
+
+
+def _scaled_density(d: HeadwayDistribution):
+    """x -> (t, s f_H(t)) at t = lo + s x, with lo the lower edge of d's support
+    and s = d.mean(): the map of [lo, inf) onto x in [0, inf), at the law's scale."""
+    lo, s = d.support()[0], d.mean()
+
+    def density(x):
+        t = lo + s * x
+        return t, s * d.pdf(t)
+
+    return density
+
+
+def _mean_scaled(density, g: Callable[[np.ndarray], np.ndarray]):
+    """x -> s f_H(t) g(t) at (t, s f_H(t)) = density(x): E[g(H)] as an integral in x."""
+    def f(x):
+        t, sf = density(x)
+        return sf * g(t)
+
+    return f
+
+
+def _law(stack: np.ndarray) -> tuple[float, float, float, float]:
+    """(q, 1 - q, m1, m2) from the stacked expectation (1 - q, m1, m2)."""
+    fail, m1, m2 = stack.tolist()
+    return 1.0 - fail, fail, m1, m2
+
+
+def _first_level_laws(chunk: list[tuple[HeadwayDistribution, ChannelModel]]) -> list:
+    """m.hop_law(d) for each (d, m) of chunk whose quadrature stops on its first
+    level, None for the others; every m keeps `ChannelModel.hop_law`.
+
+    The level calls every integrand once, on the same nodes x, so `shared`
+    evaluates each distinct headway object's `_scaled_density` once: a link
+    sweep's points share one density. Each integrand is the one `hop_law` integrates.
+    """
+    laws = [None] * len(chunk)
+    mapped = [i for i, (d, _) in enumerate(chunk)
+              if d.atoms() is None and d.support()[1] == math.inf]
+    if not mapped:
+        return laws
+    level = {}  # id of a headway -> its (t, s f_H(t)) on the level's nodes
+
+    def shared(d: HeadwayDistribution):
+        density = _scaled_density(d)
+
+        def once(x):
+            if id(d) not in level:
+                level[id(d)] = density(x)
+            return level[id(d)]
+
+        return once
+
+    try:
+        values = first_level_semi_infinite(
+            [_mean_scaled(shared(d), m._hop_stack) for d, m in (chunk[i] for i in mapped)],
+            0.0, _REL_TOL)
+    except (ValidationError, NumericError):
+        return laws
+    for i, v in zip(mapped, values):
+        laws[i] = None if v is None else _law(v)
+    return laws
+
+
 def hop_failure_prob(d: HeadwayDistribution, m) -> float:
-    """1 - q = P(one hop fails), for either channel model; 0 when D diverges."""
+    """1 - q = P(one hop fails), for any channel model; 0 when D diverges."""
     return m.hop_law(d)[1]
 
 
 def mean_distance(d: HeadwayDistribution, m) -> float:
-    """E[D] = E[H p(H)] / (1 - q), for either channel model."""
+    """E[D] = E[H p(H)] / (1 - q), for any channel model."""
     return _renewal(d, m).mean
 
 
@@ -173,7 +290,7 @@ def mean_distance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[fl
 
 
 def variance_paper(d: HeadwayDistribution, m) -> float:
-    """Printed variance identity, for either channel model. Contention:
+    """Printed variance identity, for any channel model. Contention:
 
     Var[D] = p_s I2(L)/(1-q) + mu_D^2 * p_s (1 - F_H(L))/(1-q)
 
@@ -190,7 +307,7 @@ def variance_renewal(d: HeadwayDistribution, m) -> float:
 
     D is a sum of N iid accepted gaps T with N geometric; the law of
     total variance collapses to E[N] E[T^2] + (Var N - E N) E[T]^2
-    = E[H^2 p(H)]/(1-q) + mu_D^2. Matches simulation, for either
+    = E[H^2 p(H)]/(1-q) + mu_D^2. Matches simulation, for any
     channel model.
     """
     return _renewal(d, m).var_renewal
@@ -207,7 +324,7 @@ def variance_bounds(d: HeadwayDistribution, m: ContentionModel) -> tuple[float, 
 
 
 def mean_cluster_size(d: HeadwayDistribution, m) -> float:
-    """E[N] = q / (1 - q): expected receivers (source excluded), either model."""
+    """E[N] = q / (1 - q): expected receivers (source excluded), any model."""
     return _renewal(d, m).cluster_size
 
 
@@ -218,7 +335,7 @@ def _solver_setup(d: HeadwayDistribution, m, grid_step: float, max_s: float):
 
 
 def cdf(d: HeadwayDistribution, m, grid_step: float, max_s: float) -> CdfCurve:
-    """F_D on [0, max_s] for either channel model: F_D(0) = (1 - q) / (1 - p(0) P(H = 0)),
+    """F_D on [0, max_s] for any channel model: F_D(0) = (1 - q) / (1 - p(0) P(H = 0)),
     which is 1 - q unless gaps can be exactly 0; later grid values by implicit
     trapezoidal marching against the lag weights of the model's hop kernel f_H p,
     then monotonicity repair (decreases below 1e-6 clamp, anything larger raises)."""
@@ -266,7 +383,7 @@ def solve_printed_cdf(headway, p_s: float, max_range: float,
 
 @dataclass(frozen=True)
 class DistanceStats:
-    """Every closed form at one (headway, model) point, for either channel model:
+    """Every closed form at one (headway, model) point, for any channel model:
     q_hop = q, cluster_size = E[N]; the printed variance and the bounds are the
     model's own (`paper_forms`, in field order), the bounds None under fading."""
 
@@ -295,14 +412,16 @@ def sweep_stats(points: list) -> list:
     """`distance_stats(d, m)` at each (d, m) of points, in order, or in its place
     the ValidationError, DegenerateProcessError or NumericError it raises.
 
-    A point whose hop law its model class settles with others (`hop_laws`)
-    takes its record from that law; every other point goes through
-    `distance_stats`, so that it meets its own error.
+    The points whose model keeps `ChannelModel.hop_law` go to
+    `_first_level_laws`, _CHUNK at a time in order; one whose quadrature
+    stops there takes its record from that law. Every other point goes
+    through `distance_stats`, so that it meets its own error.
     """
     laws = [None] * len(points)
-    for kind in dict.fromkeys(type(m) for _, m in points):
-        mine = [i for i, (_, m) in enumerate(points) if type(m) is kind]
-        for i, law in zip(mine, kind.hop_laws([points[i] for i in mine])):
+    mine = [i for i, (_, m) in enumerate(points) if type(m).hop_law is ChannelModel.hop_law]
+    for k in range(0, len(mine), _CHUNK):
+        chunk = mine[k:k + _CHUNK]
+        for i, law in zip(chunk, _first_level_laws([points[i] for i in chunk])):
             laws[i] = law
     out = []
     for (d, m), law in zip(points, laws):

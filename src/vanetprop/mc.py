@@ -1,10 +1,12 @@
 """Monte Carlo oracle for the propagation process.
 
 Each trial replays the hop-by-hop process literally: draw a gap tau and
-a uniform u, let the model's `hop_succeeds` decide the hop (contention:
-tau <= max_range and u < p_s; fading: u < p_s(tau)), accumulate D += tau
+a uniform u, let the model's `hop_succeeds` decide the hop (by default
+u < p(tau); contention: tau <= max_range and u < p_s), accumulate D += tau
 and N += 1 on success, stop on the first failure. No closed form enters
-the simulator, so it can arbitrate between conflicting analytical variants.
+the trials, so they can arbitrate between conflicting analytical variants;
+only `run`'s guard, which refuses 1 - q = 0 or E[N] > MAX_MEAN_HOPS before
+drawing, reads one (`hop_failure_prob`; ROADMAP item 9 makes it a hop budget).
 
 Trials are split into fixed blocks of 8192. A block is one i.i.d. hop
 stream cut at its failures: trial k ends at the stream's k-th failed hop,
@@ -39,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ContentionModel, hop_failure_prob
+from .analytic import ChannelModel, hop_failure_prob
 from .errors import DegenerateProcessError, ValidationError, _check_real
-from .fading import FadingModel
 from .headway import HeadwayDistribution
 from .quad import CdfCurve, _grid_points
 
@@ -67,7 +68,7 @@ class SimConfig:
     """What to simulate. ecdf_grid = (grid_step, max_s) requests an ECDF."""
 
     headway: HeadwayDistribution
-    model: ContentionModel | FadingModel
+    model: ChannelModel
     trials: int
     seed: int
     ecdf_grid: tuple[float, float] | None = None
@@ -75,8 +76,8 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.headway, HeadwayDistribution):
             raise ValidationError(f"headway must be a HeadwayDistribution, got {self.headway!r}")
-        if not isinstance(self.model, (ContentionModel, FadingModel)):
-            raise ValidationError(f"model must be ContentionModel or FadingModel, got {self.model!r}")
+        if not isinstance(self.model, ChannelModel):
+            raise ValidationError(f"model must be a ChannelModel, got {self.model!r}")
         _check_real("trials", self.trials, 1, integer=True)
         _check_real("seed", self.seed, 0, 2 ** 64 - 1, integer=True)
         if self.ecdf_grid is not None:

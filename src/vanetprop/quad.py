@@ -13,12 +13,12 @@ from 32 equal panels saves the levels whose fixed numpy overhead would
 dominate. Semi-infinite integrals are mapped to [0, 1)
 with tau = a + t/(1-t), whose unit scale puts the nodes' weight near
 tau ~ 1; a caller whose integrand has its own scale s rescales first
-(`fading._expect` integrates a headway's infinite support in units of
+(`analytic._expect` integrates a headway's infinite support in units of
 its mean, tau = lo + s x), and integrates a finite support as it stands.
 `first_level_semi_infinite` evaluates the first level of many such
 integrals at once, with the same map, nodes, sums and stop rule, and
 returns the value of each one that stops there, bit for bit what
-`integrate_semi_infinite` returns; a sweep of fading points shares one
+`integrate_semi_infinite` returns; a sweep's points share one
 level that way instead of paying numpy's fixed overhead per point.
 
 The CDF solver lives in `analytic`; `_march` solves its renewal

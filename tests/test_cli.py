@@ -32,7 +32,7 @@ from vanetprop import (
     mean_cluster_size,
     mean_distance,
 )
-from vanetprop import fading as fading_module
+from vanetprop import analytic
 from vanetprop.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -224,7 +224,7 @@ CANONICAL_FADING = FadingModel(1.0, 1.0, 1.0, 1.0, 0.05)  # configs/fading.cfg
                   "40", "--log-sweep"],
                  lambda v: (ExponentialHeadway(v), CANONICAL_FADING), id="fading-rate"),
     pytest.param(["--config", str(CONFIGS / "fading.cfg"), "--sweep", "rate", "0.01", "1",
-                  str(fading_module._CHUNK + 1)],
+                  str(analytic._CHUNK + 1)],
                  lambda v: (ExponentialHeadway(v), CANONICAL_FADING), id="fading-chunk-plus-one"),
     pytest.param(["--scenario", "fading", *LOGN, *LINK, "--sweep", "log_sd", "0.1", "3", "20"],
                  lambda v: (LognormalHeadway(1.5, v), fm()), id="fading-log-sd"),

@@ -30,7 +30,7 @@ from vanetprop import (
     variance_fading_renewal,
     variance_renewal,
 )
-from vanetprop import fading as fading_module
+from vanetprop import analytic
 from vanetprop.analytic import sweep_stats
 from vanetprop import quad
 from vanetprop.cli import main
@@ -135,13 +135,13 @@ def test_shared_closed_forms_accept_a_fading_model(d):
 def test_fading_stats_takes_one_quadrature(monkeypatch):
     # F_P, E[H p_s(H)] and E[H^2 p_s(H)] as one stacked integrand per point
     calls = []
-    real = fading_module.integrate_semi_infinite
+    real = analytic.integrate_semi_infinite
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fading_module, "integrate_semi_infinite", counted)
+    monkeypatch.setattr(analytic, "integrate_semi_infinite", counted)
     fading_stats(model(c=0.001, alpha=2.0), LognormalHeadway(log_mean=1.5, log_sd=0.6))
     assert len(calls) == 1
 
@@ -156,13 +156,13 @@ def test_infinite_support_is_mapped_at_the_law_s_scale(monkeypatch, d, f):
     # tau = mean * x puts the mass near x ~ 1 of the semi-infinite map, so the
     # sweep's points converge on the first level of 32 panels
     results = []
-    real = fading_module.integrate_semi_infinite
+    real = analytic.integrate_semi_infinite
 
     def captured(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(fading_module, "integrate_semi_infinite", captured)
+    monkeypatch.setattr(analytic, "integrate_semi_infinite", captured)
     f.hop_law(d)
     assert [r.evaluations for r in results] == [15 * 32]
 
@@ -263,20 +263,20 @@ def test_sweep_stats_is_distance_stats_at_each_point(monkeypatch):
             DeterministicHeadway(spacing=5.0), DeterministicHeadway(spacing=0.0),
             EmpiricalHeadway.from_samples([1.0, 2.0, 9.0]), ExponentialHeadway(rate=1e-3)]
     points = [(d, model(c=c, alpha=a)) for d in laws for c, a in ((0.05, 1.0), (1e-3, 6.0))]
-    first = fading_module._first_level_laws(points[:fading_module._CHUNK])
+    first = analytic._first_level_laws(points[:analytic._CHUNK])
     assert any(first) and not all(first)
     # a link sweep over one headway object, between equal laws of their own
     shared = LognormalHeadway(log_mean=1.5, log_sd=0.6)
     sweep = [(shared if i % 4 else LognormalHeadway(1.5, 0.6), model(c=1e-3, alpha=float(a)))
-             for i, a in enumerate(np.linspace(1.0, 6.0, fading_module._CHUNK))]
+             for i, a in enumerate(np.linspace(1.0, 6.0, analytic._CHUNK))]
     pdf_calls = []
     real_pdf = LognormalHeadway.pdf
     monkeypatch.setattr(LognormalHeadway, "pdf",
                         lambda self, x: pdf_calls.append(self) or real_pdf(self, x))
-    first = fading_module._first_level_laws(sweep)
+    first = analytic._first_level_laws(sweep)
     monkeypatch.undo()
     assert all(first)
-    assert len(pdf_calls) == 1 + fading_module._CHUNK // 4
+    assert len(pdf_calls) == 1 + analytic._CHUNK // 4
     assert sum(d is shared for d in pdf_calls) == 1
     # chunks that go point by point: a headway of its own and a shared one
     # whose integrands are non-finite, among laws that alone stop on level one
