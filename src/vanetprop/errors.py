@@ -17,7 +17,8 @@ class DegenerateProcessError(ValueError):
     """1 - q = 0: every hop succeeds and the propagation process never terminates.
 
     All closed forms divide by the hop failure probability 1 - q; raising beats returning inf.
-    The simulator also raises it where E[N] = q/(1-q) exceeds mc.MAX_MEAN_HOPS.
+    The simulator, which reads no 1 - q, raises it where a block draws mc.MAX_MEAN_HOPS
+    hops per trial before its trials close: as 1 - q -> 0 they would not end in useful time.
     """
 
 

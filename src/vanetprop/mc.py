@@ -4,9 +4,8 @@ Each trial replays the hop-by-hop process literally: draw a gap tau and
 a uniform u, let the model's `hop_succeeds` decide the hop (by default
 u < p(tau); contention: tau <= max_range and u < p_s), accumulate D += tau
 and N += 1 on success, stop on the first failure. No closed form enters
-the trials, so they can arbitrate between conflicting analytical variants;
-only `run`'s guard, which refuses 1 - q = 0 or E[N] > MAX_MEAN_HOPS before
-drawing, reads one (`hop_failure_prob`; ROADMAP item 9 makes it a hop budget).
+the simulator, not even its stopping rule (a hop budget per block), so it
+can arbitrate between conflicting analytical variants.
 
 Trials are split into fixed blocks of 8192. A block is one i.i.d. hop
 stream cut at its failures: trial k ends at the stream's k-th failed hop,
@@ -41,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ChannelModel, hop_failure_prob
+from .analytic import ChannelModel
+# no caller here: bench/tracer.py patches this name (ROADMAP item 8)
+from .analytic import hop_failure_prob
 from .errors import DegenerateProcessError, ValidationError, _check_real
 from .headway import HeadwayDistribution
 from .quad import CdfCurve, _grid_points
@@ -55,11 +56,11 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # CDF_SUPNORM_ALPHA where the ECDF's own noise is larger (trials < 38 100)
 CDF_SUPNORM_FLOOR = 0.01
 CDF_SUPNORM_ALPHA = 1e-3
-# Largest E[N] = q/(1-q), in expected hops per trial, that `run` simulates. A
-# block's time grows linearly with E[N]: one 8192-trial block took 0.16 s at
-# E[N] = 999 and 1.6 s at 9 999 (about 0.16 ms per expected hop; 2-vCPU x86
-# host, exponential gaps). At this limit the default 100 000 trials take about
-# 20 s on one worker; as q -> 1 a run would take hours to days.
+# A block's hop budget, in hops per trial of the block, spent a chunk at a
+# time; a block that would draw more raises DegenerateProcessError. A block's
+# time grows with its hops: one 8192-trial block took 0.16 s at E[N] = 999 and
+# 1.6 s at 9 999, and spends its budget in 1.1-1.7 s (2-vCPU x86 host), where
+# as q -> 1 a run would take hours to days. No canonical run comes near it.
 MAX_MEAN_HOPS = 1.0e4
 
 
@@ -128,7 +129,8 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     array, then one uniform array. Trial k is the run of hops that ends at
     the stream's k-th failure; a trial still open at the end of a chunk
     carries its partial D and N into the next one, and hops past the n-th
-    failure go unused.
+    failure go unused. A chunk that would take the hops drawn past
+    MAX_MEAN_HOPS * n raises DegenerateProcessError instead.
     """
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block_index))))
     D = np.empty(n)
@@ -136,8 +138,14 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     # -1, the last hop of each trial closed in a chunk, then n - 1
     bounds = np.empty(n + 2, dtype=np.intp)
     bounds[0] = -1
-    done, open_d, open_n = 0, 0.0, 0
+    done, open_d, open_n, drawn = 0, 0.0, 0, 0
     while done < n:
+        if drawn + n > MAX_MEAN_HOPS * n:
+            raise DegenerateProcessError(
+                f"block {block_index} closed {done} of {n} trials in {drawn} hops drawn, "
+                f"its budget of {MAX_MEAN_HOPS:g} hops per trial: trials would not "
+                "terminate in useful time")
+        drawn += n
         tau = headway.sample(rng, size=n)  # a fresh array, ours to overwrite
         ends = np.flatnonzero(~model.hop_succeeds(tau, rng.random(n)))[: n - done]
         k = ends.size
@@ -460,20 +468,11 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     place, and one float cumsum over the trials gives the ECDF values; the
     run holds no grid array.
 
-    Raises DegenerateProcessError, before simulating, where no hop can
-    fail or E[N] = q/(1-q) exceeds MAX_MEAN_HOPS: such trials would never
-    end, or not in useful time.
+    Raises DegenerateProcessError where a block spends its hop budget
+    (see _simulate_block) before its trials close: as q -> 1 they would
+    not end, or not in useful time.
     """
     _check_real("workers", workers, 1, integer=True)
-    fail = hop_failure_prob(cfg.headway, cfg.model)
-    if fail <= 0.0:
-        raise DegenerateProcessError(
-            f"hop failure probability 1 - q = {float(fail)!r}: no hop can fail, so trials "
-            "would never terminate")
-    if (1.0 - fail) / fail > MAX_MEAN_HOPS:
-        raise DegenerateProcessError(
-            f"E[N] = {(1.0 - fail) / fail:.4g} expected hops per trial exceeds "
-            f"{MAX_MEAN_HOPS:g}: trials would not terminate in useful time")
     size = None  # grid points of the ECDF
     if cfg.ecdf_grid is not None:
         size = _grid_points(*cfg.ecdf_grid)

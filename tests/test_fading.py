@@ -231,6 +231,25 @@ def test_analyze_heavy_lognormal_point_is_right_or_refused(tmp_path, log_sd):
     assert code != 0 or float(row[1]) == pytest.approx(q, rel=1e-12)
 
 
+@pytest.mark.parametrize("log_sd", [17.0, 20.0])
+def test_simulate_heavy_lognormal_point_matches_the_oracle(tmp_path, log_sd):
+    # the simulator reads no quadrature, so it arbitrates where the hop law
+    # mapped at the mean fails: E[N] = q / (1 - q) is about 1.17 and 1.14 here
+    q = _log_space_q(model(c=0.001, alpha=2.0), 1.5, log_sd)
+    outs = []
+    for workers in (1, 2):
+        outs.append(tmp_path / f"w{workers}.csv")
+        code = main(["simulate", "--scenario", "fading", "--headway", "lognormal",
+                     "--log-mean", "1.5", "--log-sd", str(log_sd), "--pt", "1", "--gain", "1",
+                     "--d0", "1", "--alpha", "2", "--pth", "0.001", "--trials", "200000",
+                     "--workers", str(workers), "--out", str(outs[-1])])
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    header, row = outs[0].read_text().splitlines()[-2:]
+    stats = dict(zip(header.split(","), map(float, row.split(","))))
+    assert abs(stats["mean_N"] - q / (1.0 - q)) <= 4.0 * stats["ci95_mean_N"]
+
+
 def test_canonical_fading_point_takes_few_levels(monkeypatch):
     # the lognormal alpha = 2 point of the benchmark sweep: each integrand call
     # is one level of the quadrature, so this bounds the numpy overhead

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vanetprop import (
+    ChannelModel,
     ContentionModel,
     DegenerateProcessError,
     DeterministicHeadway,
@@ -33,7 +34,7 @@ from vanetprop import (
     mean_distance,
     run,
 )
-from vanetprop import cli, mc
+from vanetprop import analytic, cli, mc
 from vanetprop.analytic import hop_failure_prob
 from vanetprop.mc import BLOCK_TRIALS, _grid_index, _simulate_block
 
@@ -153,11 +154,22 @@ class RecordingHeadway(ExponentialHeadway):
         return super().sample(rng, size)
 
 
-@pytest.mark.parametrize("model", [M_EXP, LONG, ContentionModel(0.9999, 1e9)],
+NEAR_HOP_LIMIT = ContentionModel(0.9999, 1e9)  # E[N] = 9999
+
+
+@pytest.mark.parametrize("model", [M_EXP, LONG, NEAR_HOP_LIMIT],
                          ids=["short", "long", "near_the_hop_limit"])
 def test_no_chunk_is_larger_than_the_block(model):
     n = 20
     d = RecordingHeadway(rate=0.2)
+    if model is NEAR_HOP_LIMIT:
+        # E[N] = 9999 sits on the budget of MAX_MEAN_HOPS = 1e4 hops per trial:
+        # this block's trials need 10 038 chunks, so it refuses after 10 000
+        with pytest.raises(DegenerateProcessError, match="in 200000 hops drawn"):
+            _simulate_block(d, model, seed=1, block_index=0, n=n)
+        assert set(d.sizes) == {n}
+        assert len(d.sizes) == mc.MAX_MEAN_HOPS
+        return
     _, N = _simulate_block(d, model, seed=1, block_index=0, n=n)
     assert set(d.sizes) == {n}
     # exactly the chunks that hold the block's N.sum() + n hops
@@ -874,20 +886,67 @@ def test_config_rejects_a_non_finite_ecdf_grid(grid):
 
 @pytest.mark.parametrize("limit, runs", [(8.9, False), (9.1, True)])
 def test_the_hop_limit_applies_to_the_expected_cluster_size(monkeypatch, limit, runs):
-    monkeypatch.setattr(mc, "MAX_MEAN_HOPS", limit)  # M_EXP has E[N] = 8.9999998
+    # the limit bounds the hops a block draws, MAX_MEAN_HOPS per trial, a chunk
+    # of 10 at a time: this block's 10 trials take 84 hops, so 9 chunks (90
+    # hops) fit a budget of 91 and not one of 89
+    monkeypatch.setattr(mc, "MAX_MEAN_HOPS", limit)
+    cfg = SimConfig(EXP, M_EXP, trials=10, seed=10)
     if runs:
-        assert run(SimConfig(EXP, M_EXP, trials=10, seed=0)).trials == 10
+        stats = run(cfg)
+        assert stats.trials == 10
+        assert stats.mean_N == 7.4  # 84 hops, one failed hop per trial
     else:
-        with pytest.raises(DegenerateProcessError):
-            run(SimConfig(EXP, M_EXP, trials=10, seed=0))
+        with pytest.raises(DegenerateProcessError,
+                           match=r"closed \d of 10 trials in 80 hops drawn, its budget of "
+                                 r"8\.9 hops per trial"):
+            run(cfg)
 
 
 def test_degenerate_processes_refuse_to_run():
-    with pytest.raises(DegenerateProcessError):
+    budget = "closed 0 of 10 trials in 100000 hops drawn, its budget of 10000 hops per trial"
+    with pytest.raises(DegenerateProcessError, match=budget):
         run(SimConfig(UniformHeadway(0.0, 10.0), ContentionModel(1.0, 100.0),
                       trials=10, seed=0))
-    with pytest.raises(DegenerateProcessError):
+    with pytest.raises(DegenerateProcessError, match=budget):
         run(SimConfig(DeterministicHeadway(0.0), FADE, trials=10, seed=0))
     # q = 1 - e^-20: E[N] ~ 4.9e8 hops per trial would run for days
-    with pytest.raises(DegenerateProcessError, match="expected hops per trial"):
+    with pytest.raises(DegenerateProcessError, match=budget):
         run(SimConfig(EXP, ContentionModel(1.0, 100.0), trials=10, seed=0))
+
+
+# A refusal spends one block's whole budget: measured 0.23-0.25 s for 10
+# trials in process, and 1.1-1.7 s for a pooled 8192-trial block (2-vCPU
+# x86 host). The bound leaves room for a slow runner.
+REFUSAL_SECONDS = 10.0
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_simulator_reads_no_closed_form(monkeypatch, deadline, workers):
+    cfgs = [SimConfig(EXP, model, trials=2 * BLOCK_TRIALS, seed=4, ecdf_grid=(1.0, 300.0))
+            for model in (M_EXP, FADE)]
+    expected = [run(cfg) for cfg in cfgs]
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the simulator read a closed form")
+
+    for owner in (ChannelModel, ContentionModel):
+        monkeypatch.setattr(owner, "hop_law", closed_form)
+        monkeypatch.setattr(owner, "hop_kernel", closed_form)
+    monkeypatch.setattr(analytic, "hop_failure_prob", closed_form)
+    monkeypatch.setattr(mc, "hop_failure_prob", closed_form)
+    mc._stop_pools()  # a pool forked from here on carries the patches
+    deadline(120.0)
+    for cfg, stats in zip(cfgs, expected):
+        assert_same_stats(run(cfg, workers=workers), stats)
+    # q = 1 under each channel, and q = 1 - e^-20; a pooled run needs two blocks
+    trials = 10 if workers == 1 else BLOCK_TRIALS + 1
+    for headway, model in ((UniformHeadway(0.0, 10.0), ContentionModel(1.0, 100.0)),
+                           (DeterministicHeadway(0.0), FADE),
+                           (EXP, ContentionModel(1.0, 100.0))):
+        start = time.monotonic()
+        with pytest.raises(DegenerateProcessError, match="hops per trial"):
+            run(SimConfig(headway, model, trials=trials, seed=0), workers=workers)
+        assert time.monotonic() - start < REFUSAL_SECONDS
+        with pytest.raises(ChildProcessError):  # no worker of this process is left
+            os.waitpid(-1, os.WNOHANG)
