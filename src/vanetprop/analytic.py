@@ -91,7 +91,11 @@ class ChannelModel:
     def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
         """f_H p on [0, max_s]: (1, shape p, upper max_s, mass E[p(H); H <= max_s]
         as a callable). No range cutoff, so no range-relative grid check."""
-        return 1.0, self.success, max_s, lambda: float(_expect(d, self.success, max_s))
+        # a quadrature can step over mass but not invent it: a window of equal panels
+        # misses a narrow density, the map at a heavy law's mean a kernel far below it
+        return 1.0, self.success, max_s, lambda: max(
+            float(_expect(d, self.success, max_s)),
+            float(_expect(d, lambda t: self.success(t) * (t <= max_s))))
 
     def hop_succeeds(self, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Simulated hop outcomes: uniform draw u below p(tau)."""
@@ -336,8 +340,8 @@ def _solver_setup(d: HeadwayDistribution, m, grid_step: float, max_s: float):
 
 def cdf(d: HeadwayDistribution, m, grid_step: float, max_s: float) -> CdfCurve:
     """F_D on [0, max_s] for any channel model: F_D(0) = (1 - q) / (1 - p(0) P(H = 0)),
-    which is 1 - q unless gaps can be exactly 0; later grid values by implicit
-    trapezoidal marching against the lag weights of the model's hop kernel f_H p,
+    which is 1 - q unless gaps can be exactly 0; later grid values by an implicit
+    march on the product-integration lag weights of the model's hop kernel f_H p,
     then monotonicity repair (decreases below 1e-6 clamp, anything larger raises)."""
     n, (coef, shape, upper, mass), fail = _solver_setup(d, m, grid_step, max_s)
     w, dw = _lag_weights(d, shape, mass, coef, grid_step, upper)

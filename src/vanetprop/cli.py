@@ -18,6 +18,7 @@ import contextlib
 import csv
 import math
 import operator
+import re
 import sys
 from typing import Callable, Iterable, NamedTuple
 
@@ -379,11 +380,21 @@ def cmd_analyze(params: dict) -> int:
     return code
 
 
+def _grid_checked(make, *args):
+    """make(*args), a ValidationError re-raised naming the grid by the flags that set it."""
+    flags = {"grid_step": "--ds", "max_s": "--max-s", "max_range": "--range"}
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from None
+
+
 def _sim_config(params: dict, ecdf: bool) -> mc.SimConfig:
     """The run params describe; with ecdf, D is also binned on the ds/max_s grid."""
     d, model = _build_headway(params), _build_model(params, _ps_table(params))
     grid = (_get(params, "ds"), _get(params, "max_s")) if ecdf else None
-    return mc.SimConfig(d, model, _get(params, "trials"), _get(params, "seed"), grid)
+    trials, seed = _get(params, "trials"), _get(params, "seed")
+    return _grid_checked(mc.SimConfig, d, model, trials, seed, grid)
 
 
 def cmd_simulate(params: dict) -> int:
@@ -405,7 +416,8 @@ def cmd_compare(params: dict) -> int:
     want_cdf = any(params.get(k) is not None for k in ("ds", "max_s"))
     cfg = _sim_config(params, ecdf=want_cdf)
     # the analytic side first: a grid or point it rejects costs no simulation
-    curve = analytic.cdf(cfg.headway, cfg.model, *cfg.ecdf_grid) if want_cdf else None
+    curve = _grid_checked(analytic.cdf, cfg.headway, cfg.model, *cfg.ecdf_grid) \
+        if want_cdf else None
     st = analytic.distance_stats(cfg.headway, cfg.model)
     stats = mc.run(cfg, workers=_get(params, "workers"))
 
@@ -445,10 +457,10 @@ def cmd_cdf(params: dict) -> int:
     cfg = _sim_config(params, ecdf=True)
     d, m = cfg.headway, cfg.model
     # the solves first: a grid or point they reject costs no simulation
-    curve = analytic.cdf(d, m, *cfg.ecdf_grid)
+    curve = _grid_checked(analytic.cdf, d, m, *cfg.ecdf_grid)
     header = ["s", "F_D_analytic", "F_D_ecdf", "abs_diff"]
     extra = []
-    if params.get("printed_form"):
+    if params.get("printed_form"):  # after `cdf`, which checked the same grid
         header.append("F_D_printed")
         extra.append(solve_printed_cdf(d, m.p_s, m.max_range, *cfg.ecdf_grid))
     stats = mc.run(cfg, workers=_get(params, "workers"))

@@ -56,12 +56,14 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # CDF_SUPNORM_ALPHA where the ECDF's own noise is larger (trials < 38 100)
 CDF_SUPNORM_FLOOR = 0.01
 CDF_SUPNORM_ALPHA = 1e-3
-# A block's hop budget, in hops per trial of the block, spent a chunk at a
-# time; a block that would draw more raises DegenerateProcessError. A block's
-# time grows with its hops: one 8192-trial block took 0.16 s at E[N] = 999 and
-# 1.6 s at 9 999, and spends its budget in 1.1-1.7 s (2-vCPU x86 host), where
-# as q -> 1 a run would take hours to days. No canonical run comes near it.
+# A block's hop budget, in hops per trial of the block (at least MIN_BUDGET_TRIALS),
+# spent a chunk at a time; a block that would draw more raises DegenerateProcessError.
+# A block's time grows with its hops: one 8192-trial block took 0.16 s at E[N] = 999
+# and 1.6 s at 9 999, and spends its budget in 1.1-1.7 s (2-vCPU x86 host), where as
+# q -> 1 a run would take hours to days. No canonical run comes near it. One trial at
+# E[N] = 5000 spends 6e4 hops with chance e^-12 (1e4: e^-2), and refuses in 0.8-1.4 s.
 MAX_MEAN_HOPS = 1.0e4
+MIN_BUDGET_TRIALS = 6
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,8 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     array, then one uniform array. Trial k is the run of hops that ends at
     the stream's k-th failure; a trial still open at the end of a chunk
     carries its partial D and N into the next one, and hops past the n-th
-    failure go unused. A chunk that would take the hops drawn past
-    MAX_MEAN_HOPS * n raises DegenerateProcessError instead.
+    failure go unused. A chunk that would take the hops drawn past MAX_MEAN_HOPS
+    * max(n, MIN_BUDGET_TRIALS) raises DegenerateProcessError instead.
     """
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block_index))))
     D = np.empty(n)
@@ -139,11 +141,13 @@ def _simulate_block(headway: HeadwayDistribution, model, seed: int,
     bounds = np.empty(n + 2, dtype=np.intp)
     bounds[0] = -1
     done, open_d, open_n, drawn = 0, 0.0, 0, 0
+    budgeted = max(n, MIN_BUDGET_TRIALS)
     while done < n:
-        if drawn + n > MAX_MEAN_HOPS * n:
+        if drawn + n > MAX_MEAN_HOPS * budgeted:
             raise DegenerateProcessError(
                 f"block {block_index} closed {done} of {n} trials in {drawn} hops drawn, "
-                f"its budget of {MAX_MEAN_HOPS:g} hops per trial: trials would not "
+                f"its budget of {MAX_MEAN_HOPS:g} hops per trial"
+                f"{'' if budgeted == n else f', counted as {budgeted} trials'}: trials would not "
                 "terminate in useful time")
         drawn += n
         tau = headway.sample(rng, size=n)  # a fresh array, ours to overwrite

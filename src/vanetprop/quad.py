@@ -21,17 +21,18 @@ returns the value of each one that stops there, bit for bit what
 `integrate_semi_infinite` returns; a sweep's points share one
 level that way instead of paying numpy's fixed overhead per point.
 
-The CDF solver lives in `analytic`; `_march` solves its renewal
-equation on a uniform grid as a causal convolution with the lag weights
-of the hop kernel f_H p = p(0) f_H shape: trapezoid weights of
-f_H * shape (implicit in the tau = 0 endpoint), or two interpolating
-lags per atom, weighted by shape(atom), for atomic laws. Blocks of B grid points are
-solved together, after Hairer, Lubich & Schlichte (SIAM J. Sci. Stat.
-Comput. 6(3), 1985): a block's history is one FFT convolution with the
-solved prefix, and the block itself one causal FFT convolution with the
-inverse of its lower-triangular Toeplitz matrix, the series 1 / (1 - a(z))
-found by Newton doubling. B grows with the K lags (B > K), so n points
-cost O(n log n) at most, not the O(n K) of a point-by-point march.
+The CDF solver lives in `analytic`; `_march` solves its renewal equation
+on a uniform grid as a causal convolution with the lag weights of the hop
+kernel f_H p = p(0) f_H shape, by product integration (Linz, Analytical
+and Numerical Methods for Volterra Equations, SIAM 1985): F_D is linear
+between grid points, and the kernel a discrete measure (atoms, or a Gauss
+rule per grid cell of a density). Blocks of B grid points are solved
+together, after Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput.
+6(3), 1985): a block's history is one FFT convolution with the solved
+prefix, and the block itself one causal FFT convolution with the inverse
+of its lower-triangular Toeplitz matrix, the series 1 / (1 - a(z)) found
+by Newton doubling. B grows with the K lags (B > K), so n points cost
+O(n log n) at most, not the O(n K) of a point-by-point march.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ _HALF = [*range(7), *range(7, -1, -1)]
 _NODES = (np.where(np.arange(15) < 7, -1.0, 1.0) * _XK[_HALF])[:, None]
 _KRONROD = _WK[_HALF, None]
 _ERROR = (_WK - _WG)[_HALF, None]  # K15 - G7
+
+# 3-point Gauss-Legendre rule on [0, 1], one per grid cell of a density's hop kernel
+_GAUSS_X = 0.5 + 0.5 * math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 @dataclass(frozen=True)
@@ -306,67 +311,41 @@ def _snap_index(pos):
 
 
 def _lag_weights(headway, shape, mass, coef: float, step: float, upper: float):
-    """Lag weights w of the hop kernel coef * f_H * shape on [0, upper], and row
-    corrections dw; mass() is the integral of f_H * shape there. Row j weighs
-    F_0 by w[j] + dw[j]; in row 0 that is the kernel's weight on zero gaps. An
-    atomic law goes by `_atom_kernel`; for a density, the endpoint tau = s_j is
-    halved while s_j <= upper, row 0 weighs F_0 by 0, and the partial panel
-    [K*step, upper] interpolates F_D(s - upper) between lags K and K+1.
+    """Lag weights w of the hop kernel coef * shape * H's law on [0, upper], and row
+    corrections dw; mass() is E[shape(H); H <= upper]. The kernel is a measure: an
+    atomic law's atoms, or a density's 3-point Gauss rule on each grid cell cut at
+    the support's edges and at upper, scaled to mass() (refused where the cells'
+    midpoint sum is off it by over a factor 2). A node h = (m + phi) * step puts
+    (1 - phi) of its weight times shape(h) on lag m and phi on lag m + 1; row m
+    drops the lag-m share (dw) where phi > 0, as h > s_m. Row j weighs F_0 by
+    w[j] + dw[j].
     """
-    if headway.atoms() is not None:
-        return _atom_kernel(headway, shape, coef, step, upper)
-    K, r = _snap_index(upper / step)
-    K, r = int(K), float(r)
-    lags = np.arange(K + 1) * step
-    fvals = headway.pdf(lags) * shape(lags)
-    f_up = headway.pdf(upper) * shape(upper)
-    # Normalize the trapezoid mass to the exact one. The marching fixed point
-    # is (1-q)/(1 - coef*mass); raw trapezoid weights miss the mass by O(step^2),
-    # so the curve would settle slightly off 1. Rescaling keeps the order.
-    trap = step * (0.5 * fvals[0] + float(fvals[1:K].sum()) + 0.5 * fvals[K])
-    if r > 0.0:
-        trap += 0.5 * r * step * (fvals[K] + f_up)
-    exact = mass()
-    if trap > 0.0 and exact > 0.0:
-        scale = exact / trap
-        # a kernel too light to move the curve past the quadrature's absolute
-        # floor (which also bounds the error of `exact`) can be off by any ratio
-        if not 0.5 <= scale <= 2.0 and coef * max(trap, exact) > ABS_FLOOR:
+    at = headway.atoms()
+    if at is None:
+        lo, hi = (min(edge, upper) for edge in headway.support())  # past upper: no cell
+        grid = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
+        edges = np.concatenate(([lo], grid[(lo < grid) & (grid < hi)], [hi]))
+        width = np.diff(edges)[:, None]
+        nodes = (edges[:-1, None] + width * _GAUSS_X).ravel()
+        wt = (width * _GAUSS_W).ravel() * headway.pdf(nodes) * shape(nodes)
+        # refuse on the midpoint sum, which errs at second order as the curve does: the
+        # Gauss total reads 1.07 of the mass at exponential(10), ds 1, with the curve 0.15
+        # off. Below the quadrature's floor, which bounds `exact`'s error, any ratio goes
+        total, mid, exact = float(wt.sum()), 2.25 * float(wt[1::3].sum()), mass()
+        if not 0.5 * mid <= exact <= 2.0 * mid and coef * max(mid, exact) > ABS_FLOOR:
             raise NumericError(
-                f"kernel mass {float(trap)!r} vs its integral {float(exact)!r} on [0, {upper!r}]: "
-                "grid_step too coarse to resolve the hop kernel"
-            )
-        fvals = fvals * scale
-        f_up *= scale
-    if 1.0 - coef * step * 0.5 * fvals[0] < 0.1:
-        raise NumericError(
-            f"grid_step {step!r} too coarse for density {float(fvals[0])!r} at 0; "
-            "implicit step ill-conditioned"
-        )
-    tail = 0.5 * r * step * (fvals[K] + f_up * (1.0 - r))
-    w = np.append(step * fvals, 0.5 * r * r * step * f_up)
-    w[[0, K]] *= 0.5
-    w[K] += tail
-    dw = np.append(-0.5 * w[:K], [-tail, 0.0])
-    dw[0] = -w[0]
-    return w, dw
-
-
-def _atom_kernel(headway, shape, coef: float, step: float, upper: float):
-    """Lag weights of the atoms h = (m + phi)*step <= upper, weighted by shape(h):
-    (1-phi) on lag m and phi on lag m+1, interpolating F_D between grid points.
-    Row m drops the lag-m share (dw) where phi > 0, since then h > s_m; so row 0
-    keeps only the atom at 0.
-    """
-    values, weights = headway.atoms()
-    keep = values <= upper + 1e-12 * np.maximum(1.0, values)
-    m, phi = _snap_index(values[keep] / step)
-    wt = weights[keep] * shape(values[keep])
-    w = np.zeros(int(m.max(initial=0)) + 2)
-    np.add.at(w, m, (1.0 - phi) * wt)
-    np.add.at(w, m + 1, phi * wt)
-    dw = np.zeros_like(w)
-    np.add.at(dw, m, np.where(phi > 0.0, (phi - 1.0) * wt, 0.0))
+                f"kernel mass {mid!r} vs its integral {exact!r} on [0, {upper!r}]: "
+                "grid_step too coarse to resolve the hop kernel")
+        wt *= exact / total if total > 0.0 and exact > 0.0 else 1.0
+    else:
+        values, weights = at
+        keep = values <= upper + 1e-12 * np.maximum(1.0, values)
+        nodes, wt = values[keep], weights[keep] * shape(values[keep])
+    m, phi = _snap_index(nodes / step)
+    # in input order, as repeated adds would: lag-m shares, then lag-(m+1) ones
+    w = np.bincount(np.concatenate((m, m + 1)),
+                    np.concatenate(((1.0 - phi) * wt, phi * wt)), minlength=2)
+    dw = np.bincount(m, np.where(phi > 0.0, (phi - 1.0) * wt, 0.0), minlength=w.size)
     return w, dw
 
 

@@ -572,7 +572,7 @@ def test_simulate_rejects_an_infinite_ecdf_grid(tmp_path, capsys):
     code = main(["simulate", *EXP_ARGS, "--trials", "100", "--ds", "1", "--max-s", "inf",
                  "--out", str(tmp_path / "s.csv"), "--ecdf-out", str(tmp_path / "e.csv")])
     assert code == 2
-    assert "finite max_s" in capsys.readouterr().err
+    assert "finite --max-s" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
 
 
@@ -763,7 +763,26 @@ def test_grid_is_checked_before_simulating(tmp_path, monkeypatch, capsys, comman
     code = main([command, "--config", str(CONFIGS / "contention.cfg"), "--ds", "20",
                  "--out", str(out)])
     assert code == 2
-    assert "grid_step must satisfy grid_step <= max_range/10" in capsys.readouterr().err
+    assert "--ds must satisfy --ds <= --range/10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, grid, message", [
+    ("cdf", ["--ds", "0", "--max-s", "300"], "0 < --ds <= --max-s"),
+    ("cdf", ["--ds", "1", "--max-s", "inf"], "with a finite --max-s, got --ds=1.0, --max-s=inf"),
+    ("simulate", ["--ds", "0", "--max-s", "300"], "0 < --ds <= --max-s"),
+    ("compare", ["--ds", "1", "--max-s", "50"], "--max-s must be >= --range, got 50.0"),
+], ids=["cdf-ds-0", "cdf-max-s-inf", "simulate-ds-0", "compare-max-s-below-range"])
+def test_a_grid_error_names_the_flags_that_set_the_grid(tmp_path, capsys, command, grid,
+                                                         message):
+    # the library names the grid_step, max_s and max_range these flags set
+    out = tmp_path / "g.csv"
+    ecdf = ["--ecdf-out", str(tmp_path / "e.csv")] if command == "simulate" else []
+    code = main([command, *EXP_ARGS, "--trials", "100", *grid, *ecdf, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert not any(name in err for name in ("grid_step", "max_s", "max_range"))
     assert not out.exists()
 
 
@@ -778,6 +797,26 @@ def test_a_solver_failure_exits_four_before_simulating(tmp_path, monkeypatch, ca
     # rate 50 puts nearly all gap mass inside the first 1 m cell
     code = main([command, "--headway", "exponential", "--rate", "50", "--ps", "0.9",
                  "--range", "100", "--ds", "1", "--max-s", "200", "--out", str(out)])
+    assert code == 4
+    assert "grid_step too coarse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("law", [
+    ["--headway", "exponential", "--rate", "50", "--ds", "1"],
+    ["--headway", "lognormal", "--log-mean", "1.5", "--log-sd", "0.001", "--ds", "0.5"],
+], ids=["exponential50", "lognormal0.001"])
+@pytest.mark.parametrize("command", ["cdf", "compare"])
+def test_a_fading_solver_failure_exits_four_before_simulating(tmp_path, monkeypatch, capsys,
+                                                              command, law):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the solve")
+
+    monkeypatch.setattr(cli.mc, "run", no_simulation)
+    out = tmp_path / "n.csv"
+    # each law's mass sits within a fraction of one cell
+    code = main([command, "--config", str(CONFIGS / "fading.cfg"), *law, "--max-s", "200",
+                 "--out", str(out)])
     assert code == 4
     assert "grid_step too coarse" in capsys.readouterr().err
     assert not out.exists()

@@ -914,9 +914,28 @@ def test_degenerate_processes_refuse_to_run():
         run(SimConfig(EXP, ContentionModel(1.0, 100.0), trials=10, seed=0))
 
 
+@pytest.mark.parametrize("seed", [10, 27, 28])
+def test_a_one_trial_run_has_the_budget_of_a_small_block(seed):
+    # E[N] = 5000: one trial takes 1e4 hops or more with chance e^-2, and each
+    # of these seeds' trials does; MIN_BUDGET_TRIALS = 6 gives the block 6e4
+    model = ContentionModel(5000.0 / 5001.0, 1e9)
+    stats = run(SimConfig(EXP, model, trials=1, seed=seed))
+    assert stats.trials == 1
+    assert mc.MAX_MEAN_HOPS <= stats.mean_N < mc.MAX_MEAN_HOPS * mc.MIN_BUDGET_TRIALS
+
+
+def test_a_degenerate_one_trial_run_refuses_within_its_budget():
+    start = time.monotonic()
+    with pytest.raises(DegenerateProcessError,
+                       match="closed 0 of 1 trials in 60000 hops drawn, its budget of 10000 "
+                             "hops per trial, counted as 6 trials"):
+        run(SimConfig(UniformHeadway(0.0, 10.0), ContentionModel(1.0, 100.0), trials=1, seed=0))
+    assert time.monotonic() - start < REFUSAL_SECONDS
+
+
 # A refusal spends one block's whole budget: measured 0.23-0.25 s for 10
-# trials in process, and 1.1-1.7 s for a pooled 8192-trial block (2-vCPU
-# x86 host). The bound leaves room for a slow runner.
+# trials in process, 0.8-1.4 s for one, and 1.1-1.7 s for a pooled
+# 8192-trial block (2-vCPU x86 host). The bound leaves room for a slow runner.
 REFUSAL_SECONDS = 10.0
 
 

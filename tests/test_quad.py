@@ -316,13 +316,51 @@ def test_solver_zero_success_probability_is_constant_one():
 
 def test_a_kernel_too_light_to_move_the_curve_solves_to_one_minus_q():
     # p(tau) <= exp(-ln2 (20/3)^2) ~ 4e-14 on the support, so the kernel mass
-    # (~7e-15) is below the quadrature's floor: its trapezoid sum and its
-    # integral disagree by a factor of 4, which no grid step can mend
+    # (~7e-15) is below the quadrature's floor
     d = UniformHeadway(20.0, 22.0)
     m = FadingModel(1.0, 1.0, 3.0, 2.0, math.log(2.0))
     curve = cdf(d, m, 0.125, 300.0)
     fail = hop_failure_prob(d, m)
     assert float(np.max(np.abs(curve.values - fail))) <= 1e-14
+
+
+def test_a_kernel_too_light_to_move_the_curve_is_solved_at_any_step():
+    # one 2 m cell: its midpoint sum (1.8e-15) misses the kernel mass (6.7e-15)
+    # by a factor of 3.75, past the refusal's factor of 2, but both lie below
+    # the quadrature's floor, where no ratio says anything about the grid
+    d = UniformHeadway(20.0, 22.0)
+    m = FadingModel(1.0, 1.0, 3.0, 2.0, math.log(2.0))
+    curve = cdf(d, m, 2.0, 300.0)
+    assert float(np.max(np.abs(curve.values - hop_failure_prob(d, m)))) <= 1e-14
+
+
+@pytest.mark.parametrize("d, model, step", [
+    (ExponentialHeadway(rate=10.0), ContentionModel(0.9, 100.0), 1.0),
+    (ExponentialHeadway(rate=10.0), ContentionModel(0.9, 100.0), 0.5),
+    (ExponentialHeadway(rate=50.0), fading(1.0), 1.0),
+    (LognormalHeadway(log_mean=1.5, log_sd=0.01), fading(1.0), 0.5),
+    (LognormalHeadway(log_mean=1.5, log_sd=0.001), fading(1.0), 0.5),
+], ids=["exponential10-contention-1", "exponential10-contention-0.5",
+        "exponential50-fading-1", "lognormal0.01-fading-0.5", "lognormal0.001-fading-0.5"])
+def test_a_kernel_the_grid_cannot_resolve_is_refused(d, model, step):
+    # each density's scale is a fraction of a cell. Its Gauss measure can still
+    # hold the right mass (1.07 of it for exponential(10) at step 1, where the
+    # solved curve would be 0.15 off), so the refusal reads the cells' midpoint
+    # sum, which errs at second order as the curve does
+    with pytest.raises(NumericError, match="grid_step too coarse"):
+        cdf(d, model, step, 200.0)
+
+
+@pytest.mark.parametrize("log_sd", [0.001, 0.01, 6.0])
+def test_the_fading_kernel_mass_finds_a_narrow_or_a_heavy_density(log_sd):
+    # with p(t) = exp(-t) the kernel's mass on [0, max_s] is the whole of q,
+    # however narrow or heavy the law: equal panels on [0, 200] step over a
+    # density of width 0.005, and the map at the mean of log_sd 6 (3e8) over
+    # a kernel whose mass sits below 40
+    d = LognormalHeadway(log_mean=1.5, log_sd=log_sd)
+    m = fading(1.0, d0=1.0)
+    mass = m.hop_kernel(d, 0.5, 200.0)[3]()
+    assert mass == pytest.approx(1.0 - hop_failure_prob(d, m), rel=1e-9)
 
 
 def test_solver_degenerate_when_propagation_never_stops():
@@ -367,6 +405,34 @@ def test_solver_output_is_a_cdf(d):
     assert np.all(v >= 0.0) and np.all(v <= 1.0)
     assert np.all(np.diff(v) >= 0.0)
     assert v[-1] > v[0]
+
+
+def test_solver_matches_the_exact_exponential_cdf_at_second_order():
+    # exponential(lam) gaps under contention: for s <= L no gap past L fits, and
+    # F_D(s) = (1 - q) / (1 - p_s) * (1 - p_s exp(-(1 - p_s) lam s)) exactly
+    lam, p_s, L = 0.2, 0.9, 100.0
+    d = ExponentialHeadway(rate=lam)
+    q = p_s * d.cdf(L)
+    errors = []
+    for step in (0.1, 0.05):
+        curve = solve_renewal_cdf(d, p_s, L, step, 300.0)
+        s = curve.grid()[curve.grid() <= L]
+        exact = (1.0 - q) / (1.0 - p_s) * (1.0 - p_s * np.exp(-(1.0 - p_s) * lam * s))
+        errors.append(float(np.max(np.abs(curve.values[:s.size] - exact))))
+    assert errors[0] <= 2e-6
+    assert errors[1] <= errors[0] / 3.0
+
+
+def test_solver_converges_at_second_order_with_support_edges_off_the_grid():
+    # the edges 2.05 and 20.03 cut cells at every step here; each curve is
+    # measured against the solve at a sixteenth of its step
+    d = UniformHeadway(low=2.05, high=20.03)
+    errors = []
+    for step in (0.1, 0.05):
+        coarse = solve_renewal_cdf(d, 0.9, 100.0, step, 300.0).values
+        fine = solve_renewal_cdf(d, 0.9, 100.0, step / 16.0, 300.0).values
+        errors.append(float(np.max(np.abs(coarse - fine[::16]))))
+    assert errors[1] <= errors[0] / 3.0
 
 
 def test_solver_grid_refinement_converges():
@@ -463,14 +529,12 @@ def test_repair_names_the_first_offending_index(vals, message):
 # ------------------------------------------ per-step reference march
 
 def _ref_snap(pos):
-    i = int(math.floor(pos))
+    """pos = i + frac elementwise, frac dust within 1e-9 of either end snapped to 0."""
+    i = np.floor(pos)
     frac = pos - i
-    if frac < 1e-9:
-        frac = 0.0
-    elif frac > 1.0 - 1e-9:
-        i += 1
-        frac = 0.0
-    return i, frac
+    up = frac > 1.0 - 1e-9
+    i = np.where(up, i + 1.0, i).astype(int)
+    return i, np.where(up | (frac < 1e-9), 0.0, frac)
 
 
 def _ref_clamp(val, clamp):
@@ -480,67 +544,49 @@ def _ref_clamp(val, clamp):
     return val
 
 
-def reference_march_atomic(headway, coef, const, n, step, upper, clamp=False):
+def reference_march_atomic(values, weights, coef, const, n, step, upper, clamp=False):
     """F_j = const(j) + coef * sum_h w_h F(s_j - h) over atoms h <= min(s_j, upper),
     one grid point at a time, interpolating F between grid points."""
-    values, weights = headway.atoms()
     F = np.zeros(n)
     F[0] = const(0)
     for j in range(1, n):
-        s = j * step
-        lim = min(s, upper)
-        acc = 0.0
-        selfw = 0.0
-        for h, w in zip(values, weights):
-            if h > lim + 1e-12 * max(1.0, h):
-                continue
-            i0, frac = _ref_snap((s - h) / step)
-            if i0 >= j:
-                selfw += w
-            elif frac == 0.0:
-                acc += w * F[i0]
-            elif i0 + 1 == j:
-                acc += w * (1.0 - frac) * F[i0]
-                selfw += w * frac
-            else:
-                acc += w * ((1.0 - frac) * F[i0] + frac * F[i0 + 1])
+        lim = min(j * step, upper)
+        on = values <= lim + 1e-12 * np.maximum(1.0, values)
+        h, w = values[on], weights[on]
+        i0, frac = _ref_snap((j * step - h) / step)
+        at_self = i0 >= j                     # h ~ 0: F(s_j) itself
+        last = ~at_self & (i0 + 1 == j)       # F(s_j - h) between F_{j-1} and F_j
+        lo = F[np.minimum(i0, j - 1)]
+        hi = np.where(i0 + 1 < j, F[np.minimum(i0 + 1, j - 1)], 0.0)
+        acc = float(np.sum(np.where(at_self, 0.0, w * ((1.0 - frac) * lo + frac * hi))))
+        selfw = float(np.sum(w[at_self]) + np.sum((w * frac)[last]))
         F[j] = _ref_clamp((const(j) + coef * acc) / (1.0 - coef * selfw), clamp)
     return F
 
 
-def reference_march_density(headway, coef, const, n, step, upper, clamp=False):
-    """Trapezoidal Volterra marching against f_H on [0, min(s, upper)], one
-    grid point at a time, with the kernel mass rescaled to F_H(upper)."""
-    K, r = _ref_snap(upper / step)
-    r *= step
-    fvals = np.array([headway.pdf(i * step) for i in range(K + 1)])
-    f_up = headway.pdf(upper)
-    mass = step * (0.5 * fvals[0] + float(fvals[1:K].sum()) + 0.5 * fvals[K])
-    if r > 0.0:
-        mass += 0.5 * r * (fvals[K] + f_up)
-    scale = headway.cdf(upper) / mass
-    fvals = fvals * scale
-    f_up *= scale
-    denom = 1.0 - coef * step * 0.5 * fvals[0]
-    F = np.zeros(n)
-    F[0] = const(0)
-    for j in range(1, n):
-        if j <= K:
-            acc = step * (float(np.dot(fvals[1:j], F[j - 1:0:-1])) + 0.5 * fvals[j] * F[0])
-        else:
-            acc = float(np.dot(fvals[1:K], F[j - 1:j - K:-1])) + 0.5 * fvals[K] * F[j - K]
-            acc *= step
-            if r > 0.0:
-                i0, frac = _ref_snap((j * step - upper) / step)
-                tail = F[i0] if frac == 0.0 else (1.0 - frac) * F[i0] + frac * F[i0 + 1]
-                acc += 0.5 * r * (fvals[K] * F[j - K] + f_up * tail)
-        F[j] = _ref_clamp((const(j) + coef * acc) / denom, clamp)
-    return F
+def gauss_cell_measure(headway, step, upper):
+    """The density's hop kernel on [0, upper] as atoms: the 3-point Gauss-Legendre
+    rule on each grid cell, cells cut at the support's edges and at upper, each
+    node weighted by f_H times its Gauss weight, the total normalised to F_H(upper)."""
+    x, gw = np.polynomial.legendre.leggauss(3)
+    lo, hi = headway.support()
+    hi = min(hi, upper)
+    edges = [lo] + [k * step for k in range(math.ceil(lo / step), math.ceil(hi / step))
+                    if lo < k * step < hi] + [hi]
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        t = a + (b - a) * (x + 1.0) / 2.0
+        nodes.append(t)
+        weights.append((b - a) / 2.0 * gw * headway.pdf(t))
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    return nodes, weights * (headway.cdf(upper) / weights.sum())
 
 
 def _reference(d, coef, const, n, step, upper, clamp=False):
-    march = reference_march_atomic if d.atoms() is not None else reference_march_density
-    return march(d, coef, const, n, step, upper, clamp)
+    """The per-step march on d's atoms, or on a density's Gauss cell measure."""
+    at = d.atoms()
+    values, weights = at if at is not None else gauss_cell_measure(d, step, upper)
+    return reference_march_atomic(values, weights, coef, const, n, step, upper, clamp)
 
 
 ORACLE_FAMILIES = [
@@ -604,12 +650,13 @@ def test_newton_series_inverse_matches_the_direct_recurrence(B, lags):
 
 
 # (law, step, L, max_s, blocks the march takes): few lags and many blocks;
-# several full blocks and a partial one, with a partial panel at L so that
-# the last lag weighs; and K = n - 1 lags in one block
+# several full blocks and a partial one, with a cell cut at L so that the
+# last lag weighs; and K = n - 1 lags in one block (the kernel's lags end
+# where its support or L does, so the support runs past max_s = L)
 MARCH_REGIMES = {
     "small_K": (DeterministicHeadway(spacing=3.3), 0.5, 100.0, 5000.0, lambda b: b >= 4),
     "full_blocks": (UniformHeadway(low=2.0, high=120.0), 0.06, 97.3, 480.0, lambda b: b >= 3),
-    "one_block": (UniformHeadway(low=2.0, high=20.0), 0.5, 300.0, 300.0, lambda b: b == 1),
+    "one_block": (UniformHeadway(low=2.0, high=400.0), 0.5, 300.0, 300.0, lambda b: b == 1),
 }
 
 
@@ -650,9 +697,9 @@ def test_solvers_evaluate_the_headway_law_in_array_calls(monkeypatch):
     d = LognormalHeadway(log_mean=2.0, log_sd=0.5)
     solve_renewal_cdf(d, 0.9, 100.0, 0.01, 300.0)   # 10 001 kernel lags
     solve_printed_cdf(d, 0.9, 100.0, 0.01, 300.0)
-    # per solve: the lags and the partial-panel end point; q and the kernel
-    # mass at L; and the printed constant in one array call
-    assert calls == {"pdf": 4, "cdf": 5}
+    # per solve: the kernel's Gauss nodes; q and the kernel mass at L; and
+    # the printed constant in one array call
+    assert calls == {"pdf": 2, "cdf": 5}
 
 
 def test_small_empirical_data_set_is_solved_against_its_atoms():
