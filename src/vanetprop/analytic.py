@@ -14,11 +14,13 @@ overrides all three with closed forms instead. The core turns the law into
 E[D] = m1/(1-q), the renewal variance m2/(1-q) + E[D]^2 and
 E[N] = q/(1-q), and raises DegenerateProcessError where 1 - q = 0.
 
-`distance_stats(d, m)` returns one record for any model: the core's
-closed forms, and the printed variance and bounds the model supplies
-(`paper_forms`; fading has no bounds). `sweep_stats` takes many points;
-those whose model keeps the core's hop law share their first quadrature
-level (`_first_level_laws`).
+`sweep_columns` evaluates many points as columns: each point's hop law
+(shared first quadrature levels, `_first_level_laws`) and the floats its
+printed forms read, point by point, then every closed form, with the
+model's printed variance and bounds (`paper_forms`; fading has no bounds),
+once per model class in numpy arithmetic that rounds as Python floats do.
+`sweep_stats` gives one `DistanceStats` record per point, and
+`distance_stats(d, m)` is its one-point case.
 
 Two variance routes are exposed on purpose: `variance_paper` evaluates
 the printed second-moment identity, whose cross term drops the square of
@@ -62,6 +64,7 @@ __all__ = [
     "cdf",
     "distance_stats",
     "sweep_stats",
+    "sweep_columns",
     "solve_renewal_cdf",
     "solve_printed_cdf",
 ]
@@ -80,12 +83,15 @@ class ChannelModel:
 
     A model gives `success(tau)`, p at an array of gaps or at one float;
     `_hop_stack(t)`, the stack (1 - p, t p, t^2 p) at an array of gaps t;
-    and `paper_forms(d, r)`, its printed variance and bounds. A model that
-    overrides the three methods here with closed forms needs only the last.
+    and `paper_forms(x, r)`, its printed variance and bounds over many points.
+    That static method reads only columns: r, the points' closed forms, and x,
+    the floats of each point's hop law past (q, 1 - q, m1, m2), then those of
+    its `_paper_inputs`. One that overrides the three below needs only that.
     """
 
-    def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
-        """(q, 1 - q, E[H p(H)], E[H^2 p(H)]): one stacked expectation under d."""
+    def hop_law(self, d: HeadwayDistribution) -> tuple[float, ...]:
+        """(q, 1 - q, E[H p(H)], E[H^2 p(H)]): one stacked expectation under d. An
+        override may append floats of the law that its `paper_forms` reads."""
         return _law(_expect(d, self._hop_stack))
 
     def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
@@ -101,6 +107,9 @@ class ChannelModel:
         """Simulated hop outcomes: uniform draw u below p(tau)."""
         return u < self.success(tau)
 
+    def _paper_inputs(self, d: HeadwayDistribution) -> tuple:
+        return ()  # paper_forms reads no float of d beyond the hop law
+
 
 @dataclass(frozen=True)
 class ContentionModel(ChannelModel):
@@ -113,12 +122,14 @@ class ContentionModel(ChannelModel):
         _check_real("p_s", self.p_s, 0.0, 1.0)
         _check_real("max_range", self.max_range, 0.0, strict=True)
 
-    def hop_law(self, d: HeadwayDistribution) -> tuple[float, float, float, float]:
-        """(q, 1 - q, m1, m2) for p(tau) = p_s 1{tau <= L}: q = p_s F_H(L), m_k = p_s I_k(L)."""
+    def hop_law(self, d: HeadwayDistribution) -> tuple[float, ...]:
+        """(q, 1 - q, m1, m2, F_H(L)) for p(tau) = p_s 1{tau <= L}: q = p_s F_H(L) and
+        m_k = p_s I_k(L); `paper_forms` reads F_H(L) too, so d.cdf runs once."""
         L = self.max_range
-        q = self.p_s * d.cdf(L)
+        F_L = d.cdf(L)
+        q = self.p_s * F_L
         return (q, 1.0 - q, self.p_s * d.truncated_moment(1, L),
-                self.p_s * d.truncated_moment(2, L))
+                self.p_s * d.truncated_moment(2, L), F_L)
 
     def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
         """p_s f_H on [0, L]: (p(0) = p_s, shape 1, upper L, mass F_H(L) as a callable),
@@ -135,25 +146,29 @@ class ContentionModel(ChannelModel):
         """Simulated hop outcomes: gap within range and uniform draw u below p_s."""
         return (tau <= self.max_range) & (u < self.p_s)
 
-    def paper_forms(self, d: HeadwayDistribution, r: _Renewal) -> tuple[float, ...]:
-        """(var_paper, mean_lower, mean_upper, var_lower, var_upper) at d, given the
-        closed forms r (formulas on the per-quantity functions)."""
-        L, p_s = self.max_range, self.p_s
-        mu = d.mean()
+    def _paper_inputs(self, d: HeadwayDistribution) -> tuple:
+        """(p_s, L, mu_H, sigma_H^2) at d; the hop law gave F_H(L)."""
+        return self.p_s, self.max_range, d.mean(), d.variance()
+
+    @staticmethod
+    def paper_forms(x: np.ndarray, r: _Renewal) -> tuple[np.ndarray, ...]:
+        """(var_paper, mean_lower, mean_upper, var_lower, var_upper) from the columns x
+        of F_H(L) and `_paper_inputs`, and r; max(0, .) takes nan to 0, as max does."""
+        F_L, p_s, L, mu, var = x
         gap = L - mu
-        bracket = 0.5 * (math.sqrt(d.variance() + gap * gap) - gap)
-        F_L = d.cdf(L)
+        bracket = 0.5 * (np.sqrt(var + gap * gap) - gap)
         tail = 1.0 - F_L
+        lower = p_s * (mu - bracket - L * tail)
         var_lower = r.mean * r.mean * p_s * tail / r.fail
         return (r.second + r.mean * r.mean * (p_s * tail / r.fail),
-                max(0.0, p_s * (mu - bracket - L * tail)) / r.fail,
+                np.where(lower > 0.0, lower, 0.0) / r.fail,
                 p_s * (mu - L + L * F_L) / r.fail,
                 var_lower,
                 (p_s * L * mu - p_s * L * L * tail) / r.fail + var_lower)
 
 
 class _Renewal(NamedTuple):
-    """The compound-geometric law of D at one (headway, model) point."""
+    """The compound-geometric law of D at one point (floats) or at many (columns)."""
 
     q: float             # E[p(H)], the probability that a hop succeeds
     fail: float          # 1 - q, in the model's most accurate form
@@ -163,18 +178,23 @@ class _Renewal(NamedTuple):
     cluster_size: float  # E[N] = q / (1 - q)
 
 
+def _checked(law: tuple) -> tuple:
+    """The hop law (q, 1 - q, ...) once 1 - q > 0 or nan; the one degeneracy check."""
+    if law[1] <= 0.0:
+        raise DegenerateProcessError(
+            f"hop failure probability 1 - q = {law[1]!r}: every hop succeeds and "
+            "the propagation distance diverges")
+    return law
+
+
 def _renewal(d: HeadwayDistribution, m) -> _Renewal:
     """m's hop law under d and the closed forms both models share."""
-    return _compound(*m.hop_law(d))
+    return _compound(*_checked(m.hop_law(d))[:4])
 
 
-def _compound(q: float, fail: float, m1: float, m2: float) -> _Renewal:
-    """The closed forms of the hop law (q, 1 - q, m1, m2); the one degeneracy check."""
-    if fail <= 0.0:
-        raise DegenerateProcessError(
-            f"hop failure probability 1 - q = {fail!r}: every hop succeeds and "
-            "the propagation distance diverges"
-        )
+def _compound(q, fail, m1, m2) -> _Renewal:
+    """The closed forms of a `_checked` hop law (q, 1 - q, m1, m2), as floats or as
+    columns: the same operations either way."""
     mean = m1 / fail
     second = m2 / fail
     return _Renewal(q, fail, second, mean, second + mean * mean, q / fail)
@@ -230,19 +250,18 @@ def _law(stack: np.ndarray) -> tuple[float, float, float, float]:
     return 1.0 - fail, fail, m1, m2
 
 
-def _first_level_laws(chunk: list[tuple[HeadwayDistribution, ChannelModel]]) -> list:
-    """m.hop_law(d) for each (d, m) of chunk whose quadrature stops on its first
-    level, None for the others; every m keeps `ChannelModel.hop_law`.
+def _first_level_laws(points: list) -> list:
+    """m.hop_law(d) for each (d, m) of points whose quadrature stops on its first
+    level, None for the others. The points whose m keeps `ChannelModel.hop_law` and
+    whose d has a density on [lo, inf) are taken _CHUNK at a time, in order.
 
-    The level calls every integrand once, on the same nodes x, so `shared`
+    A level calls every integrand once, on the same nodes x, so `shared`
     evaluates each distinct headway object's `_scaled_density` once: a link
     sweep's points share one density. Each integrand is the one `hop_law` integrates.
     """
-    laws = [None] * len(chunk)
-    mapped = [i for i, (d, _) in enumerate(chunk)
-              if d.atoms() is None and d.support()[1] == math.inf]
-    if not mapped:
-        return laws
+    laws = [None] * len(points)
+    mapped = [i for i, (d, m) in enumerate(points) if type(m).hop_law is ChannelModel.hop_law
+              and d.atoms() is None and d.support()[1] == math.inf]
     level = {}  # id of a headway -> its (t, s f_H(t)) on the level's nodes
 
     def shared(d: HeadwayDistribution):
@@ -255,14 +274,17 @@ def _first_level_laws(chunk: list[tuple[HeadwayDistribution, ChannelModel]]) -> 
 
         return once
 
-    try:
-        values = first_level_semi_infinite(
-            [_mean_scaled(shared(d), m._hop_stack) for d, m in (chunk[i] for i in mapped)],
-            0.0, _REL_TOL)
-    except (ValidationError, NumericError):
-        return laws
-    for i, v in zip(mapped, values):
-        laws[i] = None if v is None else _law(v)
+    for k in range(0, len(mapped), _CHUNK):
+        chunk = mapped[k:k + _CHUNK]
+        level.clear()
+        try:
+            values = first_level_semi_infinite(
+                [_mean_scaled(shared(points[i][0]), points[i][1]._hop_stack) for i in chunk],
+                0.0, _REL_TOL)
+        except (ValidationError, NumericError):
+            continue
+        for i, v in zip(chunk, values):
+            laws[i] = None if v is None else _law(v)
     return laws
 
 
@@ -335,7 +357,8 @@ def mean_cluster_size(d: HeadwayDistribution, m) -> float:
 def _solver_setup(d: HeadwayDistribution, m, grid_step: float, max_s: float):
     """(grid size, m's hop kernel, 1 - q), checked in that order: the grid, m's grid
     and the degeneracy."""
-    return _grid_points(grid_step, max_s), m.hop_kernel(d, grid_step, max_s), _renewal(d, m).fail
+    return (_grid_points(grid_step, max_s), m.hop_kernel(d, grid_step, max_s),
+            _checked(m.hop_law(d))[1])
 
 
 def cdf(d: HeadwayDistribution, m, grid_step: float, max_s: float) -> CdfCurve:
@@ -403,34 +426,47 @@ class DistanceStats:
 
 
 def distance_stats(d: HeadwayDistribution, m) -> DistanceStats:
-    """Every closed form at one (headway, model) point, from one hop law."""
-    return _stats(d, m, _renewal(d, m))
+    """Every closed form at one (headway, model) point, from one hop law: the
+    one-point case of `sweep_stats`."""
+    (st,) = sweep_stats([(d, m)])
+    if isinstance(st, Exception):
+        raise st
+    return st
 
 
-def _stats(d: HeadwayDistribution, m, r: _Renewal) -> DistanceStats:
-    """The record of the closed forms r of m's hop law under d."""
-    return DistanceStats(r.q, r.mean, r.var_renewal, r.cluster_size, *m.paper_forms(d, r))
+def sweep_columns(points: list) -> tuple[list, list]:
+    """(errors, groups) at the (d, m) of points: errors[i] the ValidationError,
+    DegenerateProcessError or NumericError point i raises (at its hop law, its
+    1 - q or its `_paper_inputs`, in that order) or None; groups an (indices,
+    columns) per model class of the others, columns[f] the array of each field f
+    of DistanceStats the class gives. One point takes its law alone."""
+    laws = _first_level_laws(points) if len(points) > 1 else [None] * len(points)
+    errors, rows = [None] * len(points), {}  # model class -> (indices, a model, floats)
+    for i, ((d, m), law) in enumerate(zip(points, laws)):
+        try:
+            law = _checked(law or m.hop_law(d))
+            x = (*law, *m._paper_inputs(d))
+        except (ValidationError, DegenerateProcessError, NumericError) as exc:
+            errors[i] = exc
+            continue
+        idx, _, xs = rows.setdefault(type(m), ([], m, []))
+        idx.append(i)
+        xs += x
+    groups = []
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
+        for idx, m, xs in rows.values():
+            x = np.fromiter(xs, float).reshape(len(idx), -1).T
+            r = _compound(*x[:4])
+            groups.append((idx, dict(zip(DistanceStats.__dataclass_fields__, (
+                r.q, r.mean, r.var_renewal, r.cluster_size, *m.paper_forms(x[4:], r))))))
+    return errors, groups
 
 
 def sweep_stats(points: list) -> list:
-    """`distance_stats(d, m)` at each (d, m) of points, in order, or in its place
-    the ValidationError, DegenerateProcessError or NumericError it raises.
-
-    The points whose model keeps `ChannelModel.hop_law` go to
-    `_first_level_laws`, _CHUNK at a time in order; one whose quadrature
-    stops there takes its record from that law. Every other point goes
-    through `distance_stats`, so that it meets its own error.
-    """
-    laws = [None] * len(points)
-    mine = [i for i, (_, m) in enumerate(points) if type(m).hop_law is ChannelModel.hop_law]
-    for k in range(0, len(mine), _CHUNK):
-        chunk = mine[k:k + _CHUNK]
-        for i, law in zip(chunk, _first_level_laws([points[i] for i in chunk])):
-            laws[i] = law
-    out = []
-    for (d, m), law in zip(points, laws):
-        try:
-            out.append(distance_stats(d, m) if law is None else _stats(d, m, _compound(*law)))
-        except (ValidationError, DegenerateProcessError, NumericError) as exc:
-            out.append(exc)
+    """`sweep_columns(points)` as one record per point: `distance_stats(d, m)` at
+    each (d, m) of points, in order, or in its place the typed error it raises."""
+    out, groups = sweep_columns(points)
+    for idx, columns in groups:
+        for i, row in zip(idx, zip(*[c.tolist() for c in columns.values()])):
+            out[i] = DistanceStats(*row)
     return out

@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
-import operator
 import re
 import sys
 from typing import Callable, Iterable, NamedTuple
@@ -261,18 +259,15 @@ def _emit(out_path, meta: list[str], header: list[str], rows: Iterable,
     """Write meta lines, header and rows, then the line footer() gives.
 
     rows may be a generator: its items are rows, or blocks that stand for a
-    run of numeric rows, given as their columns (1-D arrays of one length).
-    Each is formatted and written in batches of about _CSV_CHUNK_ROWS rows
-    as it comes, so that a long table's text is never held whole. footer
-    is called once every row is written, so it can report on what the rows
-    held.
+    run of numeric rows, given as their columns (1-D arrays of one length, or
+    None for a column of empty cells). Each is written as it comes, a block
+    in one write, so that a long table's text is never held whole. footer is
+    called once every row is written, so it can report on what the rows held.
 
     Every row has the bytes csv.writer gives it: floats as their repr, so
     that parsing the file back recovers them exactly, and None as an empty
-    cell. Numbers need no quoting, so the rows of a block, and each list row
-    of Python floats that ends in None (an `analyze` row without an error),
-    go through one "%r,...,%r" format per row instead, at less cost. Every
-    other row (text, ints, numpy scalars, whose repr is not a float's) goes
+    cell. Numbers need no quoting, so the rows of a block go through one
+    "%r,...,%r" format per row instead, at less cost; every other row goes
     through csv.writer, for its quoting.
     """
     with (open(out_path, "w", encoding="utf-8", newline="") if out_path
@@ -281,23 +276,13 @@ def _emit(out_path, meta: list[str], header: list[str], rows: Iterable,
             fh.write(line + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        batch: list[str] = []
         for row in rows:
             if isinstance(row[0], np.ndarray):
-                fmt = ",".join(["%r"] * len(row)) + "\n"
-                batch += [fmt % r for r in zip(*[c.tolist() for c in row])]
-                floats = True
+                fmt = ",".join("" if c is None else "%r" for c in row) + "\n"
+                cols = [c.tolist() for c in row if c is not None]
+                fh.write("".join([fmt % r for r in zip(*cols)]))
             else:
-                cells = tuple(row[:-1])
-                floats = {*map(type, cells)} == {float} and row[-1] is None
-                if floats:
-                    batch.append(("%r," * len(cells) + "\n") % cells)
-            if not floats or len(batch) >= _CSV_CHUNK_ROWS:
-                fh.write("".join(batch))
-                batch.clear()
-            if not floats:
                 w.writerow(row)
-        fh.write("".join(batch))
         if footer is not None:
             fh.write(footer() + "\n")
 
@@ -322,10 +307,11 @@ def cmd_analyze(params: dict) -> int:
     """Write the closed forms at the point, or at each point of the sweep, one
     row per point, and return the exit code of the first error row (0 if none).
 
-    The points are built, evaluated (`analytic.sweep_stats`), formatted and written
+    The points are built, evaluated (`analytic.sweep_columns`) and written
     _CSV_CHUNK_ROWS at a time, so the memory a sweep takes does not grow with
-    its length. A point rebuilds only the object the swept parameter belongs
-    to; the other one is built once and shared by every chunk.
+    its length; a chunk's finite rows are written from its columns as blocks.
+    A point rebuilds only the object the swept parameter belongs to; the
+    other one is built once and shared by every chunk.
     """
     name, values = _sweep_values(params) or ("point", [None])
     scenario = _SCENARIOS[params["scenario"]]
@@ -338,7 +324,6 @@ def cmd_analyze(params: dict) -> int:
             typed[key] = _get(params, key)
     new_headway = name in _headway_keys(params)
     new_model = name in _link_keys(params)
-    cells_of = operator.attrgetter(*scenario.columns.values())
     code = EXIT_OK
 
     def rows():
@@ -346,34 +331,40 @@ def cmd_analyze(params: dict) -> int:
         d = model = None
         for lo in range(0, len(values), _CSV_CHUNK_ROWS):
             chunk = values[lo:lo + _CSV_CHUNK_ROWS]
-            points = []  # per value: (headway, model), or the typed error building them raised
+            errors, points = [], []  # per value: the typed error building it raised, or None
             for v in chunk:
-                point = typed if v is None else {**typed, name: v}
+                if v is not None:
+                    typed[name] = v
                 try:
                     if d is None or new_headway:
-                        d = _build_headway(point)
+                        d = _build_headway(typed)
                     if model is None or new_model:
-                        model = _build_model(point, table)
+                        model = _build_model(typed, table)
                     points.append((d, model))
+                    errors.append(None)
                 except ValidationError as exc:
-                    points.append(exc)
-            # the built points' stats, or typed errors, in the order of the points
-            results = iter(analytic.sweep_stats(
-                [p for p in points if not isinstance(p, Exception)]))
-            for v, p in zip(chunk, points):
-                label = 0.0 if v is None else v
-                st = p if isinstance(p, Exception) else next(results)
-                if not isinstance(st, Exception):
-                    cells = cells_of(st)
-                    if all(map(math.isfinite, cells)):
-                        yield (label, *cells, None)
-                        continue
-                    bad = [f"{k} = {c!r}" for k, c in zip(scenario.columns, cells)
-                           if not math.isfinite(c)]
-                    st = NumericError(f"non-finite closed form: {', '.join(bad)}")
-                yield (label, *[None] * len(scenario.columns), f"{type(st).__name__}: {st}")
-                if code == EXIT_OK:
-                    code = _error_code(st)
+                    errors.append(exc)
+            built = np.flatnonzero([e is None for e in errors])
+            found, groups = analytic.sweep_columns(points)
+            cells = np.full((len(scenario.columns), len(chunk)), np.nan)
+            for idx, columns in groups:
+                cells[:, built[idx]] = [columns[f] for f in scenario.columns.values()]
+            for i, e in zip(built.tolist(), found):
+                errors[i] = e
+            labels = np.zeros(1) if chunk[0] is None else np.asarray(chunk)
+            # runs of finite rows as blocks, between the error rows in their places
+            start = 0
+            for j in [*np.flatnonzero(~np.isfinite(cells).all(axis=0)).tolist(), len(chunk)]:
+                if start < j:
+                    yield (labels[start:j], *cells[:, start:j], None)
+                if j < len(chunk):
+                    exc = errors[j] or NumericError("non-finite closed form: " + ", ".join(
+                        f"{k} = {c!r}" for k, c in zip(scenario.columns, cells[:, j].tolist())
+                        if not np.isfinite(c)))
+                    yield (labels[j].item(), *[None] * len(scenario.columns),
+                           f"{type(exc).__name__}: {exc}")
+                    code = code or _error_code(exc)
+                start = j + 1
 
     _emit(params.get("out"), _meta_lines("analyze", params),
           [name, *scenario.columns, "error"], rows())

@@ -86,7 +86,8 @@ class FadingModel(analytic.ChannelModel):
         # near-transparent channels the consistency checks use
         return np.array((-np.expm1(-x), t * p, t * t * p))
 
-    def paper_forms(self, d: HeadwayDistribution, r) -> tuple[float]:
+    @staticmethod
+    def paper_forms(x: np.ndarray, r) -> tuple[np.ndarray]:
         """(var_paper,): E[H^2 p_s(H)] / F_P from the closed forms r; no bounds."""
         return (r.second,)
 

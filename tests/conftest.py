@@ -7,6 +7,7 @@ bounds are exact requirements on both (see the mean_distance_bounds
 docstring), so the sandwich checks are not statistical ones.
 """
 
+import math
 import os
 import pathlib
 
@@ -14,7 +15,9 @@ import numpy as np
 
 from vanetprop import (
     ContentionModel,
+    DegenerateProcessError,
     DeterministicHeadway,
+    DistanceStats,
     EmpiricalHeadway,
     ExponentialHeadway,
     LognormalHeadway,
@@ -26,6 +29,36 @@ from vanetprop import (
 _SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+
+def scalar_stats(d, m) -> DistanceStats:
+    """`distance_stats(d, m)` in Python floats, one point at a time: the closed
+    forms of m.hop_law(d), then contention's printed variance and bounds with
+    math.sqrt and max(0.0, .), or any other model's printed variance
+    E[H^2 p(H)] / (1 - q). A reference for the numpy columns of the library."""
+    q, fail, m1, m2 = m.hop_law(d)[:4]
+    if fail <= 0.0:
+        raise DegenerateProcessError(
+            f"hop failure probability 1 - q = {fail!r}: every hop succeeds and "
+            "the propagation distance diverges")
+    mean, second = m1 / fail, m2 / fail
+    core = (q, mean, second + mean * mean, q / fail)
+    if not isinstance(m, ContentionModel):
+        return DistanceStats(*core, second)
+    L, p_s = m.max_range, m.p_s
+    mu = d.mean()
+    gap = L - mu
+    bracket = 0.5 * (math.sqrt(d.variance() + gap * gap) - gap)
+    F_L = d.cdf(L)
+    tail = 1.0 - F_L
+    var_lower = mean * mean * p_s * tail / fail
+    return DistanceStats(*core, second + mean * mean * (p_s * tail / fail),
+                         max(0.0, p_s * (mu - bracket - L * tail)) / fail,
+                         p_s * (mu - L + L * F_L) / fail,
+                         var_lower,
+                         (p_s * L * mu - p_s * L * L * tail) / fail + var_lower)
+
 
 FAMILIES = ("exponential", "uniform", "lognormal", "deterministic", "empirical")
 

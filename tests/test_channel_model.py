@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from conftest import scalar_stats
 
 from vanetprop import (
     ChannelModel,
@@ -81,6 +82,7 @@ def test_nakagami_at_m_1_is_the_rayleigh_hop_law(d, c, d0, alpha):
     assert [getattr(got_n, k) for k in fields] == pytest.approx(
         [getattr(got_f, k) for k in fields], rel=1e-15, abs=0.0)
     assert got_n == distance_stats(d, n)
+    assert repr(got_n) == repr(scalar_stats(d, n))  # as Python floats give it
 
 
 @pytest.mark.parametrize("m", [2, 3])

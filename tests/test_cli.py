@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import scalar_stats
 
 import vanetprop.cli as cli
 from vanetprop import (
@@ -261,6 +263,11 @@ CANONICAL_FADING = FadingModel(1.0, 1.0, 1.0, 1.0, 0.05)  # configs/fading.cfg
                   "--sweep", "ps", "1", "1.5", "2"],
                  lambda v: (UniformHeadway(0.0, 10.0), ContentionModel(v, 100.0)),
                  id="degenerate-then-validation"),
+    # one chunk: validation, degeneracy, finite rows, validation (exit 2)
+    pytest.param(["--headway", "uniform", "--low", "0", "--high", "10", "--range", "100",
+                  "--sweep", "ps", "1.5", "-0.5", "9"],
+                 lambda v: (UniformHeadway(0.0, 10.0), ContentionModel(v, 100.0)),
+                 id="validation-degenerate-finite-validation"),
     pytest.param(["--headway", "exponential", "--rate", "0.2", "--ps", "1.5", "--range", "100",
                   "--sweep", "rate", "0.1", "1", "3"],
                  lambda v: (ExponentialHeadway(v), ContentionModel(1.5, 100.0)),
@@ -282,19 +289,19 @@ CANONICAL_FADING = FadingModel(1.0, 1.0, 1.0, 1.0, 0.05)  # configs/fading.cfg
 def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, monkeypatch, argv, make):
     # the sweep builds only what a point varies, evaluates the points a chunk
     # at a time and shares the fading points' first quadrature level; each
-    # row must still be, to the byte, the closed forms of the library at that
-    # point, or the typed error they raise
+    # row must still be, to the byte, the closed forms that Python floats give
+    # at that point one at a time (`scalar_stats`), or the typed error they raise
     params = cli._resolve(cli._build_parser().parse_args(["analyze", *argv]))
     name, values = cli._sweep_values(params)
     scenario = cli._SCENARIOS[params["scenario"]]
     sizes = []  # points per call of the sweep
-    sweep_stats = cli.analytic.sweep_stats
+    sweep_columns = cli.analytic.sweep_columns
 
     def sweep(points):
         sizes.append(len(points))
-        return sweep_stats(points)
+        return sweep_columns(points)
 
-    monkeypatch.setattr(cli.analytic, "sweep_stats", sweep)
+    monkeypatch.setattr(cli.analytic, "sweep_columns", sweep)
     out = tmp_path / "s.csv"
     code = main(["analyze", *argv, "--out", str(out)])
     assert max(sizes, default=0) <= cli._CSV_CHUNK_ROWS
@@ -302,7 +309,7 @@ def test_every_sweep_row_is_the_library_value_at_its_point(tmp_path, monkeypatch
     for v in values:
         try:
             d, model = make(v)
-            st = cli.analytic.distance_stats(d, model)
+            st = scalar_stats(d, model)
         except (ValidationError, DegenerateProcessError, NumericError) as exc:
             expected.append([repr(v), *[""] * len(scenario.columns),
                              f"{type(exc).__name__}: {exc}"])
@@ -388,6 +395,61 @@ def test_analyze_heavy_lognormal_point_is_a_numeric_error_row(tmp_path, law, mes
     assert main(["analyze", "--headway", "lognormal", *law, *CONT, "--out", str(out)]) == 4
     _, _, rows, _ = parse(out)
     assert rows[0][-1] == message
+
+
+@pytest.mark.parametrize("argv, errors", [
+    # E[D] ~ 1e154: its square overflows from log_mean 353 on
+    (["--headway", "lognormal", "--log-mean", "350", "--log-sd", "1e-10", "--ps", "0.9",
+      "--range", "1e154", "--sweep", "log_mean", "352", "354.5", "6"],
+     ["", ""] + ["NumericError: non-finite closed form: var_paper = nan, var_renewal = inf, "
+                 "var_lower = nan, var_upper = nan"] * 4),
+    # from L ~ 1e200, L^2 overflows, and so does (rate L)^2 in I_2(L), each times 0
+    (["--headway", "exponential", "--rate", "0.2", "--ps", "0.9",
+      "--sweep", "range", "100", "1e300", "7", "--log-sweep"],
+     [""] * 4 + ["NumericError: non-finite closed form: var_paper = nan, var_renewal = nan, "
+                 "var_upper = nan"] * 3),
+], ids=["mean-square", "range-square"])
+def test_an_overflowing_closed_form_is_a_numeric_error_row(tmp_path, argv, errors):
+    # the chunk's closed forms are numpy columns: an overflow raises no
+    # RuntimeWarning (the suite makes one an error), and the row names the
+    # cells by their Python reprs
+    out = tmp_path / "o.csv"
+    assert main(["analyze", *argv, "--out", str(out)]) == 4
+    _, _, rows, _ = parse(out)
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [r[-1] for r in csv.reader(body[1:])] == errors
+    assert all(math.isfinite(float(c)) for r in rows[:errors.count("")] for c in r[:-1])
+
+
+def test_a_contention_sweep_reads_f_h_of_l_once_per_point(tmp_path, monkeypatch):
+    # q = p_s F_H(L) and the printed forms share one F_H(L)
+    calls = []
+    cdf = LognormalHeadway.cdf
+    monkeypatch.setattr(LognormalHeadway, "cdf", lambda self, x: calls.append(x) or cdf(self, x))
+    assert main(["analyze", *LOGN, *CONT, "--sweep", "log_sd", "0.1", "2.0", "2000",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == [100.0] * 2000
+
+
+# the analyze ops of the benchmark's analyze_sweep workload (bench/workloads.py,
+# copied here) and the sha256 of each output: a change of a byte is a change of
+# what the program prints
+BENCH_SWEEPS = [
+    (["--scenario", "fading", *LOGN, *LINK, "--sweep", "alpha", "1", "6", "150"],
+     "125f9389a36b59928b362c2a55409e2080f92c05a0d8539fefa1edd2b0fbc404"),
+    (["--config", str(CONFIGS / "fading.cfg"), "--sweep", "rate", "0.01", "1", "150",
+      "--log-sweep"], "08edc55fe2ef4a84b65e265d7cb686902faa475e74909aeddc23d3437a6be6b2"),
+    ([*LOGN, *CONT, "--sweep", "log_sd", "0.1", "2.0", "2000"],
+     "fbf58a6e08cf57951bc5073e8d8212ac3b7ff80abdc283948037355711110926"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", BENCH_SWEEPS,
+                         ids=["fading_alpha", "fading_rate", "contention_log_sd"])
+def test_the_benchmark_sweeps_keep_their_bytes(tmp_path, argv, sha256):
+    out = tmp_path / "s.csv"
+    assert main(["analyze", *argv, "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_analyze_heavy_lognormal_sweep_keeps_its_finite_rows(tmp_path):
@@ -503,9 +565,9 @@ def test_simulate_ecdf_output(tmp_path):
 
 
 def _float_rows_among_others() -> list:
-    # float rows that end in None take the "%r,...,%r," format in batches; a
-    # numpy scalar ("%r" prints np.float64(...)), an int, a None among the
-    # floats or text needs csv.writer, between and across the batches
+    # rows that are not blocks go through csv.writer, whatever they hold: a
+    # numpy scalar ("%r" would print np.float64(...)), an int, a None among
+    # the floats or text, between rows of floats that end in None
     rows = [(0.01 * i, -0.0, 1e16, None) for i in range(2 * cli._CSV_CHUNK_ROWS + 3)]
     rows[5] = (5.0, np.float64(0.1), math.inf, None)
     rows[6] = (6.0, 3, 1e-05, None)
@@ -517,8 +579,8 @@ def _float_rows_among_others() -> list:
 
 
 def _blocks_among_rows() -> list:
-    # a numeric block stands for its rows; the float rows batched before it,
-    # and a csv.writer row after it, keep their places
+    # a numeric block stands for its rows; the float rows before it, and a
+    # csv.writer row after it, keep their places
     n = cli._CSV_CHUNK_ROWS - 2
     block = [np.arange(n) * 0.1, np.full(n, -0.0), np.ones(n), np.arange(n)]
     return [(0.5, 1e-300, 2.0, None), (0.75, 1.0, 3.0, None), block,
@@ -687,9 +749,9 @@ def test_compare_passes_a_correct_curve_at_few_trials(tmp_path):
 
 
 def test_numeric_failure_exits_four(tmp_path, monkeypatch):
-    def boom(d, m):
+    def boom(m, d):
         raise NumericError("synthetic quadrature failure")
-    monkeypatch.setattr(cli.analytic, "distance_stats", boom)
+    monkeypatch.setattr(cli.analytic.ContentionModel, "hop_law", boom)
     out = tmp_path / "n.csv"
     code = main(["analyze", *EXP_ARGS, "--out", str(out)])
     assert code == 4

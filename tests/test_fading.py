@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from conftest import scalar_stats
 
 from vanetprop import (
     ContentionModel,
@@ -313,16 +314,18 @@ def test_sweep_stats_is_distance_stats_at_each_point(monkeypatch):
     for k, point in enumerate(contention * 3):
         points.insert(5 + 13 * k, point)
 
-    def alone(d, m):
+    def alone(stats, d, m):
         try:
-            return repr(distance_stats(d, m))
+            return repr(stats(d, m))
         except (DegenerateProcessError, NumericError) as exc:
             return f"{type(exc).__name__}: {exc}"
 
     results = sweep_stats(points)
     got = [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else repr(r)
            for r in results]
-    assert got == [alone(d, m) for d, m in points]
+    assert got == [alone(distance_stats, d, m) for d, m in points]
+    # and what Python floats give, point by point
+    assert got == [alone(scalar_stats, d, m) for d, m in points]
     assert sum(g.startswith("NumericError: integrand") for g in got) == 4
     assert sum(g.startswith("NumericError: lognormal variance") for g in got) == 3
     assert sum(g.startswith("DegenerateProcessError") for g in got) == 2 + 3
