@@ -124,12 +124,13 @@ class ContentionModel(ChannelModel):
 
     def hop_law(self, d: HeadwayDistribution) -> tuple[float, ...]:
         """(q, 1 - q, m1, m2, F_H(L)) for p(tau) = p_s 1{tau <= L}: q = p_s F_H(L) and
-        m_k = p_s I_k(L); `paper_forms` reads F_H(L) too, so d.cdf runs once."""
+        m_k = p_s I_k(L); `paper_forms` reads F_H(L) too, so d.cdf runs once. L is
+        checked finite and > 0, so I_k takes the family's closed form unchecked."""
         L = self.max_range
         F_L = d.cdf(L)
         q = self.p_s * F_L
-        return (q, 1.0 - q, self.p_s * d.truncated_moment(1, L),
-                self.p_s * d.truncated_moment(2, L), F_L)
+        return (q, 1.0 - q, self.p_s * d._truncated_moment(1, L),
+                self.p_s * d._truncated_moment(2, L), F_L)
 
     def hop_kernel(self, d: HeadwayDistribution, grid_step: float, max_s: float):
         """p_s f_H on [0, L]: (p(0) = p_s, shape 1, upper L, mass F_H(L) as a callable),

@@ -198,10 +198,22 @@ def _build_model(params: dict, table: Callable[[float], float] | None):
     return _SCENARIOS[params["scenario"]].model(*args)
 
 
-def _read_params(params: dict) -> set[str]:
-    """The numeric parameters the resolved scenario and headway family read."""
-    keys = {*_link_keys(params), *_headway_keys(params)}
-    return {k for k in keys if _PARAMS[k]["type"] is float}
+def _build_swept(params: dict, name: str, table: Callable[[float], float] | None):
+    """v -> the headway law or channel model that `name` belongs to, built with v for
+    it: one constructor call on its other parameters, typed once. Where one of those
+    does not type, each v builds from all of them, so every point raises that error."""
+    headway = name in _headway_keys(params)
+    make, keys = (_HEADWAYS[params["headway"]] if headway
+                  else (_SCENARIOS[params["scenario"]].model, _link_keys(params)))
+    try:
+        args = [table(_get(params, k)) if k == "load" else _get(params, k)
+                for k in keys if k != name]
+    except ValidationError:
+        return lambda v: (_build_headway({**params, name: v}) if headway
+                          else _build_model({**params, name: v}, table))
+    i, at = keys.index(name), table if name == "load" else float
+    before, after = args[:i], args[i:]
+    return lambda v: make(*before, at(v), *after)
 
 
 def _sweep_values(params: dict):
@@ -224,7 +236,8 @@ def _sweep_values(params: dict):
     if len(parts) != 4:
         raise ValidationError(f"sweep must be 'name,from,to,steps[,log]', got {spec!r}")
     name = parts[0]
-    readable = _read_params(params)
+    readable = {k for k in (*_link_keys(params), *_headway_keys(params))
+                if _PARAMS[k]["type"] is float}  # the numeric parameters the run reads
     if name not in readable:
         raise ValidationError(
             f"cannot sweep {name!r}: this scenario and headway read only {sorted(readable)}"
@@ -316,14 +329,9 @@ def cmd_analyze(params: dict) -> int:
     name, values = _sweep_values(params) or ("point", [None])
     scenario = _SCENARIOS[params["scenario"]]
     table = _ps_table(params)
-    # each parameter typed once; one that does not type stays as given, so
-    # that every point raises its error again, in the order the builders read
-    typed = dict(params)
-    for key in _read_params(params):
-        with contextlib.suppress(ValidationError):
-            typed[key] = _get(params, key)
     new_headway = name in _headway_keys(params)
     new_model = name in _link_keys(params)
+    build = (new_headway or new_model) and _build_swept(params, name, table)
     code = EXIT_OK
 
     def rows():
@@ -333,13 +341,11 @@ def cmd_analyze(params: dict) -> int:
             chunk = values[lo:lo + _CSV_CHUNK_ROWS]
             errors, points = [], []  # per value: the typed error building it raised, or None
             for v in chunk:
-                if v is not None:
-                    typed[name] = v
                 try:
                     if d is None or new_headway:
-                        d = _build_headway(typed)
+                        d = build(v) if new_headway else _build_headway(params)
                     if model is None or new_model:
-                        model = _build_model(typed, table)
+                        model = build(v) if new_model else _build_model(params, table)
                     points.append((d, model))
                     errors.append(None)
                 except ValidationError as exc:

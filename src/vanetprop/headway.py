@@ -72,6 +72,14 @@ def _exp(log_value: float, what: str) -> float:
         raise NumericError(f"{what} = exp({log_value!r}) overflows a float") from None
 
 
+def _pow(x: float, k: int, what: str) -> float:
+    """x ** k, or NumericError where that overflows a float."""
+    try:
+        return x ** k
+    except OverflowError:
+        raise NumericError(f"{what}: {x!r} ** {k} overflows a float") from None
+
+
 def _args(x) -> np.ndarray:
     """x as a float array: pdf and cdf take a scalar or an ndarray of any shape."""
     return np.asarray(x, dtype=float)
@@ -195,10 +203,19 @@ class ExponentialHeadway(HeadwayDistribution):
                 term *= x / (a + n)
                 total += term
                 n += 1
-            return self.rate * upper ** a * e / a * total
+            try:
+                return self.rate * upper ** a * e / a * total
+            except OverflowError:  # U^{k+1} leaves the doubles, r U^{k+1} = x U^k may not
+                return x * _pow(upper, a - 1, "exponential truncated moment") * e / a * total
         if order == 1:
             return (1.0 - e * (1.0 + x)) / self.rate
-        return (2.0 - e * (x * x + 2.0 * x + 2.0)) / self.rate ** 2
+        # the numerator is >= 0.16 at x >= 1, so inf is 2 / rate^2 overflowing
+        r2 = self.rate ** 2
+        m2 = (2.0 - e * (x * x + 2.0 * x + 2.0)) / r2 if r2 > 0.0 else math.inf
+        if m2 == math.inf:
+            raise NumericError("exponential truncated moment of order 2: 2 / rate^2 at "
+                               f"rate {self.rate!r} overflows a float")
+        return m2
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         # the same values as exponential(scale=1/rate), without its broadcasting cost
@@ -229,7 +246,7 @@ class UniformHeadway(HeadwayDistribution):
         return 0.5 * (self.low + self.high)
 
     def variance(self) -> float:
-        return (self.high - self.low) ** 2 / 12.0
+        return _pow(self.high - self.low, 2, "uniform variance") / 12.0
 
     def support(self) -> tuple[float, float]:
         return self.low, self.high
@@ -239,7 +256,9 @@ class UniformHeadway(HeadwayDistribution):
         if m <= self.low:
             return 0.0
         k = order + 1
-        return (m ** k - self.low ** k) / (k * (self.high - self.low))
+        # low ** k <= m ** k, so only m ** k can overflow
+        m_k = _pow(m, k, "uniform truncated moment")
+        return (m_k - self.low ** k) / (k * (self.high - self.low))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         out = rng.uniform(self.low, self.high, size=size)
@@ -349,7 +368,8 @@ class DeterministicHeadway(HeadwayDistribution):
         return np.array([self.spacing]), np.array([1.0])
 
     def _truncated_moment(self, order: int, upper: float) -> float:
-        return self.spacing ** order if self.spacing <= upper else 0.0
+        what = "deterministic truncated moment"
+        return _pow(self.spacing, order, what) if self.spacing <= upper else 0.0
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         if size is None:

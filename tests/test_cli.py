@@ -27,6 +27,7 @@ from vanetprop import (
     EmpiricalHeadway,
     ExponentialHeadway,
     FadingModel,
+    HeadwayDistribution,
     LognormalHeadway,
     NumericError,
     UniformHeadway,
@@ -381,6 +382,31 @@ def test_a_parameter_that_does_not_type_fails_every_point(tmp_path):
         "ValidationError: parameter 'pth' must be a number, got '0.o5'"] * 3
 
 
+def test_a_parameter_of_the_swept_object_that_does_not_type_fails_every_point(tmp_path):
+    # the swept object's other parameters are read in builder order at every
+    # point: a swept load outside the table fails before a range that does not type
+    table, cfg, out = tmp_path / "t.csv", tmp_path / "bad.cfg", tmp_path / "s.csv"
+
+    def errors():  # the error cells, which csv.writer quoted: they hold a comma
+        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        return [r[-1] for r in csv.reader(body[1:])]
+
+    table.write_text("0,0.95\n10,0.9\n20,0.5\n")
+    cfg.write_text(f"headway = exponential\nrate = 0.2\nps_table = {table}\nrange = 1o0\n")
+    assert main(["analyze", "--config", str(cfg), "--sweep", "load", "-5", "25", "3",
+                 "--out", str(out)]) == 2
+    assert errors() == [
+        "ValidationError: load -5.0 outside table range [0.0, 20.0]",
+        "ValidationError: parameter 'range' must be a number, got '1o0'",
+        "ValidationError: load 25.0 outside table range [0.0, 20.0]"]
+    cfg.write_text("scenario = fading\nheadway = exponential\nrate = 0.2\n"
+                   "pt = 1\ngain = 1\nd0 = 1\nalpha = 1\npth = 0.o5\n")
+    assert main(["analyze", "--config", str(cfg), "--sweep", "alpha", "1", "6", "2",
+                 "--out", str(out)]) == 2
+    assert errors() == [
+        "ValidationError: parameter 'pth' must be a number, got '0.o5'"] * 2
+
+
 # a lognormal law whose moments overflow a float: an error row (exit 4) in
 # analyze; simulate needs only truncated moments, taken in logs
 HEAVY = [["--log-mean", "1.5", "--log-sd", "20"], ["--log-mean", "700", "--log-sd", "3"]]
@@ -408,7 +434,12 @@ def test_analyze_heavy_lognormal_point_is_a_numeric_error_row(tmp_path, law, mes
       "--sweep", "range", "100", "1e300", "7", "--log-sweep"],
      [""] * 4 + ["NumericError: non-finite closed form: var_paper = nan, var_renewal = nan, "
                  "var_upper = nan"] * 3),
-], ids=["mean-square", "range-square"])
+    # from high ~ 1.3e154, the uniform variance (high - low)^2 / 12 overflows
+    (["--headway", "uniform", "--low", "0", "--high", "1e10", "--ps", "0.9", "--range", "100",
+      "--sweep", "high", "1e10", "1e300", "3", "--log-sweep"],
+     ["", "NumericError: uniform variance: 1e+155 ** 2 overflows a float",
+      "NumericError: uniform variance: 1e+300 ** 2 overflows a float"]),
+], ids=["mean-square", "range-square", "uniform-variance"])
 def test_an_overflowing_closed_form_is_a_numeric_error_row(tmp_path, argv, errors):
     # the chunk's closed forms are numpy columns: an overflow raises no
     # RuntimeWarning (the suite makes one an error), and the row names the
@@ -429,6 +460,56 @@ def test_a_contention_sweep_reads_f_h_of_l_once_per_point(tmp_path, monkeypatch)
     assert main(["analyze", *LOGN, *CONT, "--sweep", "log_sd", "0.1", "2.0", "2000",
                  "--out", str(tmp_path / "s.csv")]) == 0
     assert calls == [100.0] * 2000
+
+
+# a family closed form that overflows a float raises NumericError where it
+# overflows, never an untyped OverflowError or ZeroDivisionError
+FAMILY_OVERFLOWS = [
+    (["--headway", "uniform", "--low", "0", "--high", "1e300", "--range", "100"],
+     "uniform variance: 1e+300 ** 2 overflows a float"),
+    (["--headway", "uniform", "--low", "1e200", "--high", "2e200", "--range", "1e250"],
+     "uniform truncated moment: 2e+200 ** 2 overflows a float"),
+    (["--headway", "exponential", "--rate", "1e-300", "--range", "1e200"],
+     "exponential truncated moment: 1e+200 ** 2 overflows a float"),
+    (["--headway", "exponential", "--rate", "1e-200", "--range", "1e250"],
+     "exponential truncated moment of order 2: 2 / rate^2 at rate 1e-200 overflows a float"),
+    # rate^2 is subnormal, so 2 / rate^2 is inf without a ZeroDivisionError
+    (["--headway", "exponential", "--rate", "1e-158", "--range", "1e200"],
+     "exponential truncated moment of order 2: 2 / rate^2 at rate 1e-158 overflows a float"),
+    (["--headway", "deterministic", "--spacing", "1e200", "--range", "1e250"],
+     "deterministic truncated moment: 1e+200 ** 2 overflows a float"),
+]
+
+
+@pytest.mark.parametrize("argv, message", FAMILY_OVERFLOWS,
+                         ids=["uniform-variance", "uniform-moment", "exponential-series",
+                              "exponential-rate-squared", "exponential-rate-squared-subnormal",
+                              "deterministic-moment"])
+def test_a_family_closed_form_that_overflows_exits_four(tmp_path, capsys, argv, message):
+    # analyze writes the error in its row and nothing to stderr; compare, which
+    # takes the closed forms before it simulates, prints one error line
+    out = tmp_path / "o.csv"
+    assert main(["analyze", *argv, "--ps", "0.9", "--out", str(out)]) == 4
+    assert [r[-1] for r in parse(out)[2]] == ["NumericError: " + message]
+    assert capsys.readouterr().err == ""
+    assert main(["compare", *argv, "--ps", "0.9", "--trials", "1000",
+                 "--out", str(tmp_path / "c.csv")]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_contention_sweep_takes_the_moments_unchecked(tmp_path, monkeypatch):
+    # the model checked L when it was built, so each point's hop law calls the
+    # family's closed form twice and never the wrapper that checks its arguments
+    checked, closed = [], []
+    wrapper, moment = HeadwayDistribution.truncated_moment, LognormalHeadway._truncated_moment
+    monkeypatch.setattr(HeadwayDistribution, "truncated_moment",
+                        lambda self, k, u: checked.append((k, u)) or wrapper(self, k, u))
+    monkeypatch.setattr(LognormalHeadway, "_truncated_moment",
+                        lambda self, k, u: closed.append((k, u)) or moment(self, k, u))
+    assert main(["analyze", *LOGN, *CONT, "--sweep", "log_sd", "0.1", "2.0", "2000",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert checked == []
+    assert closed == [(1, 100.0), (2, 100.0)] * 2000
 
 
 # the analyze ops of the benchmark's analyze_sweep workload (bench/workloads.py,

@@ -213,6 +213,13 @@ def test_exponential_truncated_moment_where_rate_squared_underflows():
     assert d.truncated_moment(2, 100.0) == pytest.approx(1e-300 * 100.0 ** 3 / 3, rel=1e-15)
 
 
+def test_exponential_truncated_moment_where_the_power_of_upper_overflows():
+    # U^3 = 1e330 leaves the doubles, but I_2(U) ~ r U^3 / 3 = (rU) U^2 / 3 does not
+    d = ExponentialHeadway(1e-120)
+    assert d.truncated_moment(2, 1e110) == pytest.approx(1e-10 * 1e220 / 3, rel=1e-9)
+    assert d.truncated_moment(1, 1e110) == pytest.approx(1e-10 * 1e110 / 2, rel=1e-9)
+
+
 @pytest.mark.parametrize("z", [-1e4, -300.0, -50.0, -37.0001, -37.0, -36.9999, -20.0, -5.0, 0.0, 4.0])
 def test_log_normal_cdf_matches_scipy_where_the_cdf_underflows(z):
     assert headway_module._log_norm_cdf(z) == pytest.approx(scipy.special.log_ndtr(z), rel=1e-14)
