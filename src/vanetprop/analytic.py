@@ -8,14 +8,16 @@ compound sum, so a `ChannelModel` is its kernel: it gives p (`success`),
 the stack (1 - p, tau p, tau^2 p) and its printed forms, and the core
 derives the rest. Its hop law, q = E[p(H)], 1 - q, m1 = E[H p(H)] and
 m2 = E[H^2 p(H)], is one stacked expectation under the gap law
-(`_expect`); its CDF kernel is f_H p on [0, max_s]; its simulated hop
+(`_expect`, whose integrand `_scaled` builds for one point or for a
+sweep's stack); its CDF kernel is f_H p on [0, max_s]; its simulated hop
 succeeds where u < p(tau). `ContentionModel` (p(tau) = p_s 1{tau <= L})
 overrides all three with closed forms instead. The core turns the law into
 E[D] = m1/(1-q), the renewal variance m2/(1-q) + E[D]^2 and
 E[N] = q/(1-q), and raises DegenerateProcessError where 1 - q = 0.
 
 `sweep_columns` evaluates many points as columns: each point's hop law
-(shared first quadrature levels, `_first_level_laws`) and the floats its
+(one `integrate` of a chunk's stack held to its first level, each point
+kept where its own stop rule passes: `_first_level_laws`) and the floats its
 printed forms read, point by point, then every closed form, with the
 model's printed variance and bounds (`paper_forms`; fading has no bounds),
 once per model class in numpy arithmetic that rounds as Python floats do.
@@ -47,8 +49,8 @@ import numpy as np
 
 from .errors import DegenerateProcessError, NumericError, ValidationError, _check_real
 from .headway import HeadwayDistribution
-from .quad import (CdfCurve, _grid_points, _lag_weights, _march, _repair, _snap_index,
-                   first_level_semi_infinite, integrate, integrate_semi_infinite)
+from .quad import (_START_PANELS, CdfCurve, _grid_points, _lag_weights, _mapped, _march,
+                   _passes, _repair, _snap_index, integrate, integrate_semi_infinite)
 
 __all__ = [
     "ChannelModel",
@@ -220,27 +222,23 @@ def _expect(d: HeadwayDistribution, g: Callable[[np.ndarray], np.ndarray],
     hi = min(hi, upper)
     if hi < math.inf:
         return integrate(lambda t: d.pdf(t) * g(t), lo, max(lo, hi), rel_tol=_REL_TOL).value
-    return integrate_semi_infinite(_mean_scaled(_scaled_density(d), g), 0.0,
-                                   rel_tol=_REL_TOL).value
+    return integrate_semi_infinite(_scaled([(d, g)]), 0.0, rel_tol=_REL_TOL).value
 
 
-def _scaled_density(d: HeadwayDistribution):
-    """x -> (t, s f_H(t)) at t = lo + s x, with lo the lower edge of d's support
-    and s = d.mean(): the map of [lo, inf) onto x in [0, inf), at the law's scale."""
-    lo, s = d.support()[0], d.mean()
+def _scaled(pairs: list):
+    """x -> s f_H(t) g(t) at t = lo + s x for each (d, g) of pairs, with lo the lower
+    edge of d's support and s = d.mean(): E[g(H)] as an integral over x in [0, inf),
+    at the law's scale. One pair gives g's values as they are, more stack theirs
+    along the first axis; each distinct law's density is evaluated once a call."""
+    scales = {id(d): (d, d.support()[0], d.mean()) for d, _ in pairs}
 
-    def density(x):
-        t = lo + s * x
-        return t, s * d.pdf(t)
-
-    return density
-
-
-def _mean_scaled(density, g: Callable[[np.ndarray], np.ndarray]):
-    """x -> s f_H(t) g(t) at (t, s f_H(t)) = density(x): E[g(H)] as an integral in x."""
     def f(x):
-        t, sf = density(x)
-        return sf * g(t)
+        at = {}  # id of a law -> its (t, s f_H(t)) at x
+        for key, (d, lo, s) in scales.items():
+            t = lo + s * x
+            at[key] = t, s * d.pdf(t)
+        ys = [sf * g(t) for (t, sf), g in ((at[id(d)], g) for d, g in pairs)]
+        return ys[0] if len(ys) == 1 else np.concatenate(ys)
 
     return f
 
@@ -254,38 +252,32 @@ def _law(stack: np.ndarray) -> tuple[float, float, float, float]:
 def _first_level_laws(points: list) -> list:
     """m.hop_law(d) for each (d, m) of points whose quadrature stops on its first
     level, None for the others. The points whose m keeps `ChannelModel.hop_law` and
-    whose d has a density on [lo, inf) are taken _CHUNK at a time, in order.
-
-    A level calls every integrand once, on the same nodes x, so `shared`
-    evaluates each distinct headway object's `_scaled_density` once: a link
-    sweep's points share one density. Each integrand is the one `hop_law` integrates.
+    whose d has a density on [lo, inf) are taken _CHUNK at a time, in order: one
+    `integrate` of their stacked integrands, each the one `hop_law` integrates, held
+    to its first level by max_panels. Where some component does not stop there, the
+    NumericError carries the level's sums, and a point keeps its law where its own
+    components pass the stop rule. A non-finite integrand leaves the chunk to the
+    points alone.
     """
     laws = [None] * len(points)
     mapped = [i for i, (d, m) in enumerate(points) if type(m).hop_law is ChannelModel.hop_law
               and d.atoms() is None and d.support()[1] == math.inf]
-    level = {}  # id of a headway -> its (t, s f_H(t)) on the level's nodes
-
-    def shared(d: HeadwayDistribution):
-        density = _scaled_density(d)
-
-        def once(x):
-            if id(d) not in level:
-                level[id(d)] = density(x)
-            return level[id(d)]
-
-        return once
-
     for k in range(0, len(mapped), _CHUNK):
         chunk = mapped[k:k + _CHUNK]
-        level.clear()
         try:
-            values = first_level_semi_infinite(
-                [_mean_scaled(shared(points[i][0]), points[i][1]._hop_stack) for i in chunk],
-                0.0, _REL_TOL)
-        except (ValidationError, NumericError):
+            stack = _scaled([(points[i][0], points[i][1]._hop_stack) for i in chunk])
+            res = integrate(_mapped(stack, 0.0), 0.0, 1.0, rel_tol=_REL_TOL,
+                            max_panels=_START_PANELS)
+            value, err = res.value, res.abs_error_estimate
+        except NumericError as exc:
+            if exc.estimate is None:
+                continue
+            value, err = exc.estimate, exc.error_estimate
+        except ValidationError:
             continue
-        for i, v in zip(chunk, values):
-            laws[i] = None if v is None else _law(v)
+        done = _passes(value, err, _REL_TOL)[0].reshape(len(chunk), -1).all(axis=1)
+        for i, v, ok in zip(chunk, value.reshape(len(chunk), -1), done):
+            laws[i] = _law(v) if ok else None
     return laws
 
 

@@ -207,6 +207,8 @@ class ExponentialHeadway(HeadwayDistribution):
                 return self.rate * upper ** a * e / a * total
             except OverflowError:  # U^{k+1} leaves the doubles, r U^{k+1} = x U^k may not
                 return x * _pow(upper, a - 1, "exponential truncated moment") * e / a * total
+        if e == 0.0:  # past x ~ 745 each e x^j is 0, where x or x * x may be inf
+            x = 0.0
         if order == 1:
             return (1.0 - e * (1.0 + x)) / self.rate
         # the numerator is >= 0.16 at x >= 1, so inf is 2 / rate^2 overflowing

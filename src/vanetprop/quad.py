@@ -15,11 +15,14 @@ with tau = a + t/(1-t), whose unit scale puts the nodes' weight near
 tau ~ 1; a caller whose integrand has its own scale s rescales first
 (`analytic._expect` integrates a headway's infinite support in units of
 its mean, tau = lo + s x), and integrates a finite support as it stands.
-`first_level_semi_infinite` evaluates the first level of many such
-integrals at once, with the same map, nodes, sums and stop rule, and
-returns the value of each one that stops there, bit for bit what
-`integrate_semi_infinite` returns; a sweep's points share one
-level that way instead of paying numpy's fixed overhead per point.
+A sweep's points share one level instead of paying numpy's fixed
+overhead per point: `analytic` integrates their mapped stack with
+max_panels = 32, which holds the run to its first level, and keeps each
+point whose components pass the stop rule (`_passes`) on the level-1
+sums, the same floats `integrate_semi_infinite` returns for it alone.
+The integrand is evaluated with numpy's floating-point warnings off: a
+non-finite value raises NumericError anyway, and a power that overflows
+to inf, so that p = exp(-inf) is exactly 0, is no fault.
 
 The CDF solver lives in `analytic`; `_march` solves its renewal equation
 on a uniform grid as a causal convolution with the lag weights of the hop
@@ -49,7 +52,6 @@ __all__ = [
     "QuadResult",
     "integrate",
     "integrate_semi_infinite",
-    "first_level_semi_infinite",
     "CdfCurve",
 ]
 
@@ -122,7 +124,8 @@ class QuadResult:
 
 def _values(f, x: np.ndarray) -> np.ndarray:
     """f at the nodes x: shape x.shape, or (m,) + x.shape for a stack; all finite."""
-    y = np.asarray(f(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = np.asarray(f(x), dtype=float)
     if y.ndim == 0:
         y = np.full(x.shape, y)
     finite = np.isfinite(y)
@@ -144,17 +147,11 @@ def _level(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (y * _KRONROD).sum(axis=-2) * h, np.abs((y * _ERROR).sum(axis=-2)) * h
 
 
-def _first_panels(a: float, b: float, max_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and upper edges of the equal panels a quadrature of [a, b] starts from."""
-    edges = np.linspace(a, b, min(_START_PANELS, max_panels) + 1)
-    return edges[:-1], edges[1:]
-
-
-def _totals(val: np.ndarray, err: np.ndarray, rel_tol: float):
-    """(value, error, tolerance) of each component from its panels' values and
-    errors (the last axis); the tolerance is max(rel_tol * |value|, ABS_FLOOR)."""
-    total = val.sum(axis=-1)
-    return total, err.sum(axis=-1), np.maximum(rel_tol * np.abs(total), ABS_FLOOR)
+def _passes(value, err, rel_tol: float):
+    """The stop rule: whether each component's summed error err is at most its
+    tolerance max(rel_tol * |value|, ABS_FLOOR), and that tolerance."""
+    tol = np.maximum(rel_tol * np.abs(value), ABS_FLOOR)
+    return err <= tol, tol
 
 
 def _scalar(v: np.ndarray):
@@ -181,12 +178,14 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         zero = np.zeros(_values(f, np.array([a])).shape[:-1])
         return QuadResult(_scalar(zero), _scalar(zero), 1)
 
-    lo, hi = _first_panels(a, b, max_panels)
+    edges = np.linspace(a, b, min(_START_PANELS, max_panels) + 1)
+    lo, hi = edges[:-1], edges[1:]
     val, err = _level(f, lo, hi)
     evals = 15 * lo.size
     while True:
-        total, total_err, tol = _totals(val, err, rel_tol)
-        if (total_err <= tol).all():
+        total, total_err = val.sum(axis=-1), err.sum(axis=-1)
+        done, tol = _passes(total, total_err, rel_tol)
+        if done.all():
             return QuadResult(_scalar(total), _scalar(total_err), evals)
         # the shares sum to tol, so some panel exceeds its share
         over = err > (tol / lo.size)[..., None]
@@ -218,42 +217,21 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], a: float,
     decay to 0 (all headway densities do).
     """
     _check_real("a", a)
-    return integrate(_mapped([f], a), 0.0, 1.0, rel_tol=rel_tol)
+    return integrate(_mapped(f, a), 0.0, 1.0, rel_tol=rel_tol)
 
 
-def _mapped(fs: list[Callable[[np.ndarray], np.ndarray]], a: float):
-    """The integrands of fs over [a, inf) as one integrand of t in [0, 1), by
-    tau = a + t/(1-t): their values f(tau) / (1-t)^2, stacked along the first
-    axis (one f's values as they are)."""
+def _mapped(f: Callable[[np.ndarray], np.ndarray], a: float):
+    """The integral of f over [a, inf) as one of t in [0, 1), by tau = a + t/(1-t):
+    f(tau) / (1-t)^2, for one integrand or a stack."""
     def g(t):
         omt = 1.0 - t
         # a node rounded onto t = 1 maps to tau = a with weight 1/inf^2 = 0
         omt[omt <= 0.0] = np.inf
-        tau = a + t / omt
-        ys = [np.asarray(f(tau), dtype=float) / omt / omt for f in fs]
-        return ys[0] if len(ys) == 1 else np.concatenate(ys)
+        y = np.asarray(f(a + t / omt), dtype=float) / omt
+        y /= omt  # in place: a sweep chunk's stack is a level's largest array
+        return y
 
     return g
-
-
-def first_level_semi_infinite(fs: list[Callable[[np.ndarray], np.ndarray]], a: float,
-                              rel_tol: float) -> list[np.ndarray | None]:
-    """`integrate_semi_infinite(f, a, rel_tol).value` for each f of fs whose
-    quadrature stops on its first level, None for the others; every f is
-    evaluated once, on that level's nodes, and the level is summed once.
-
-    Each f maps the nodes to an (m, nodes) stack, with the same m for all.
-    The nodes, values and stop test are `integrate`'s, so a value returned
-    is the one `integrate_semi_infinite` returns, to the last bit. Raises
-    NumericError where any integrand is non-finite, as `integrate` does.
-    """
-    _check_real("a", a)
-    lo, hi = _first_panels(0.0, 1.0, MAX_PANELS)
-    val, err = _level(_mapped(fs, a), lo, hi)
-    shape = (len(fs), -1, lo.size)
-    total, total_err, tol = _totals(val.reshape(shape), err.reshape(shape), rel_tol)
-    done = (total_err <= tol).all(axis=-1)
-    return [v if ok else None for v, ok in zip(total, done)]
 
 
 @dataclass(frozen=True)

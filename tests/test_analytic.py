@@ -30,6 +30,14 @@ M_EXP = ContentionModel(p_s=0.9, max_range=100.0)
 
 # ---------------------------------------------------------- frozen values
 
+def test_renewal_variance_where_the_range_squared_overflows():
+    # I_2(L) = 2 / rate^2 once e^{-rate L} = 0, though (rate L)^2 overflows from
+    # L ~ 1.3e154: the variance is the one at any L far past the gaps
+    for L in (1e100, 1e155):
+        assert variance_renewal(ExponentialHeadway(1.0), ContentionModel(0.9, L)) \
+            == 99.00000000000003
+
+
 def test_mean_distance_frozen():
     assert mean_distance(EXP, M_EXP) == pytest.approx(44.999997217442676, rel=1e-12)
     u = UniformHeadway(0.0, 10.0)

@@ -20,7 +20,7 @@ from vanetprop import (
     run,
     success_prob,
 )
-from vanetprop.quad import first_level_semi_infinite, integrate, integrate_semi_infinite
+from vanetprop.quad import integrate, integrate_semi_infinite
 
 EXP = ExponentialHeadway(rate=0.2)
 CONTENTION = ContentionModel(p_s=0.9, max_range=100.0)
@@ -54,8 +54,8 @@ REALS = [
     ("b", lambda v: integrate(_decay, 0.0, v), 2, False),
     ("rel_tol", lambda v: integrate(_decay, 0.0, 1.0, rel_tol=v), 2, False),
     ("a", lambda v: integrate_semi_infinite(_decay, v), 2, False),
-    ("a", lambda v: first_level_semi_infinite([lambda x: _decay(x)[None]], v, 1e-10), 2,
-     False),
+    # a stack held to its first level, as a sweep's chunk of hop laws is integrated
+    ("a", lambda v: integrate(lambda x: _decay(x)[None], v, 10.0, max_panels=32), 2, False),
     ("grid_step", lambda v: cdf(EXP, FADING, v, 4.0), 2, False),
     ("max_s", lambda v: cdf(EXP, FADING, 0.5, v), 2, False),
     ("grid_step", lambda v: SimConfig(EXP, FADING, 10, 0, ecdf_grid=(v, 4.0)), 2, False),

@@ -271,8 +271,6 @@ def test_canonical_fading_point_takes_few_levels(monkeypatch):
     assert evals == [sum(levels)] and evals[0] <= 1200
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_sweep_stats_is_distance_stats_at_each_point(monkeypatch):
     # chunks mixing mapped laws that stop on the first level, mapped laws that
     # refine, finite, atomic and degenerate laws, points that share one

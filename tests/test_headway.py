@@ -220,6 +220,15 @@ def test_exponential_truncated_moment_where_the_power_of_upper_overflows():
     assert d.truncated_moment(1, 1e110) == pytest.approx(1e-10 * 1e110 / 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("rate, upper", [(1.0, 1e155), (1.0, 1e308), (1e10, 1e300)])
+def test_exponential_truncated_moment_where_rate_times_upper_squared_overflows(rate, upper):
+    # past rU ~ 745, e^{-rU} = 0 and I_k(U) is the full moment k! / r^k, though
+    # (rU)^2, or rU itself, overflows a float
+    d = ExponentialHeadway(rate)
+    assert d.truncated_moment(1, upper) == 1.0 / rate
+    assert d.truncated_moment(2, upper) == 2.0 / rate ** 2
+
+
 @pytest.mark.parametrize("z", [-1e4, -300.0, -50.0, -37.0001, -37.0, -36.9999, -20.0, -5.0, 0.0, 4.0])
 def test_log_normal_cdf_matches_scipy_where_the_cdf_underflows(z):
     assert headway_module._log_norm_cdf(z) == pytest.approx(scipy.special.log_ndtr(z), rel=1e-14)

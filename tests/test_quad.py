@@ -204,26 +204,40 @@ def _decays(rates):
             for r in rates]
 
 
+def _stacked(fs):
+    return lambda x: np.concatenate([f(x) for f in fs])
+
+
 def test_first_level_of_many_integrands_is_each_one_s_own():
-    # rates near 1 stop on the first level of the unit map, those far from it
-    # refine; a first-level value is integrate_semi_infinite's, to the bit
+    # integrate held to one level of 32 panels returns, or raises with, the
+    # level-1 sums of the stack; rates near 1 stop there on the unit map, those
+    # far from it refine, and a component that stops there alone holds
+    # integrate_semi_infinite's value, to the bit
     fs = _decays([0.02, 0.5, 1.0, 2.0, 60.0])
-    got = quad.first_level_semi_infinite(fs, 1.5, 1e-11)
+    with pytest.raises(NumericError, match="within 32 panels") as exc:
+        integrate(quad._mapped(_stacked(fs), 1.5), 0.0, 1.0, rel_tol=1e-11, max_panels=32)
+    value, err = exc.value.estimate, exc.value.error_estimate
+    done = quad._passes(value, err, 1e-11)[0].reshape(len(fs), -1).all(axis=1)
     first = []
-    for f, v in zip(fs, got):
+    for f, v, ok in zip(fs, value.reshape(len(fs), -1), done):
         ref = integrate_semi_infinite(f, 1.5, rel_tol=1e-11)
         first.append(ref.evaluations == 15 * 32)
-        if first[-1]:
+        assert ok == first[-1]
+        if ok:
             assert v.tolist() == ref.value.tolist()
-        else:
-            assert v is None
     assert any(first) and not all(first)
+    # a stack whose every component stops on level 1 returns its sums
+    near = [fs[i] for i in np.flatnonzero(done)]
+    res = integrate(quad._mapped(_stacked(near), 1.5), 0.0, 1.0, rel_tol=1e-11, max_panels=32)
+    assert res.evaluations == 15 * 32
+    assert res.value.tolist() == value.reshape(len(fs), -1)[done].ravel().tolist()
 
 
 def test_first_level_of_many_integrands_raises_where_one_is_non_finite():
     fs = [*_decays([1.0]), lambda x: np.array((np.full(x.shape, np.nan), x))]
-    with pytest.raises(NumericError, match="non-finite"):
-        quad.first_level_semi_infinite(fs, 0.0, 1e-11)
+    with pytest.raises(NumericError, match="non-finite") as exc:
+        integrate(quad._mapped(_stacked(fs), 0.0), 0.0, 1.0, rel_tol=1e-11, max_panels=32)
+    assert exc.value.estimate is None and exc.value.error_estimate is None
 
 
 # ------------------------------------------------------------- CDF solver
