@@ -73,7 +73,9 @@ _SCENARIOS = {
 }
 
 # config key -> keywords of its --key-name flag. A config file accepts
-# exactly these keys; its values stay strings until _get reads them.
+# exactly these keys; its values stay strings until _get reads them. Every
+# gap-family and link parameter of the tables above is a float flag; an
+# entry below overrides one that has another type or a help text.
 _PARAMS = {
     "seed": {"type": int},
     "trials": {"type": int},
@@ -86,22 +88,12 @@ _PARAMS = {
                         "monkeypatched after the fork is not seen by them"},
     "scenario": {"choices": list(_SCENARIOS)},
     "headway": {"choices": sorted(_HEADWAYS)},
-    "rate": {"type": float},
-    "low": {"type": float},
-    "high": {"type": float},
-    "log_mean": {"type": float},
-    "log_sd": {"type": float},
-    "spacing": {"type": float},
+    **{k: {"type": float} for _, keys in _HEADWAYS.values() for k in keys},
+    **{k: {"type": float} for s in _SCENARIOS.values() for k in s.link},
     "data": {"type": str, "help": "empirical headway sample file"},
-    "ps": {"type": float},
     "range": {"type": float, "help": "contention max range L (m)"},
     "ps_table": {"type": str, "help": "CSV of load,p_s pairs; interpolated at --load"},
     "load": {"type": float},
-    "pt": {"type": float},
-    "gain": {"type": float},
-    "d0": {"type": float},
-    "alpha": {"type": float},
-    "pth": {"type": float},
     "ds": {"type": float, "help": "CDF grid step (m)"},
     "max_s": {"type": float, "help": "CDF grid end (m)"},
     "sweep": {"nargs": 4, "metavar": ("NAME", "FROM", "TO", "STEPS")},  # analyze only

@@ -206,7 +206,13 @@ class ExponentialHeadway(HeadwayDistribution):
             try:
                 return self.rate * upper ** a * e / a * total
             except OverflowError:  # U^{k+1} leaves the doubles, r U^{k+1} = x U^k may not
-                return x * _pow(upper, a - 1, "exponential truncated moment") * e / a * total
+                for _ in range(order):  # x U^k a factor at a time, with no lone power
+                    x *= upper
+                if x == math.inf:
+                    raise NumericError(f"exponential truncated moment of order {order}: rate "
+                                       f"{self.rate!r} * {upper!r} ** {a} overflows a "
+                                       "float") from None
+                return x * e / a * total
         if e == 0.0:  # past x ~ 745 each e x^j is 0, where x or x * x may be inf
             x = 0.0
         if order == 1:

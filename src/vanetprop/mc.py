@@ -186,11 +186,11 @@ def _grid_index(step: float, n: int, D: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _run_blocks(cfg, size, blocks):
+def _run_blocks(cfg, blocks):
     """(block, sums) pairs for the block numbers in `blocks`, in the order
-    run, and the blocks' ECDF histogram on the size-point grid of
-    cfg.ecdf_grid (or None, where size is None). A block's sums are those
-    of D, D^2, D^3, D^4, N, N^2 and of trials with N = 0.
+    run, and the blocks' ECDF histogram on cfg.ecdf_grid, whose last bin is
+    D past the grid (None without a grid). A block's sums are those of D,
+    D^2, D^3, D^4, N, N^2 and of trials with N = 0.
 
     The histogram is one integer sum over the blocks, which no order of
     summation changes, so a worker hands back one, not one per block.
@@ -199,7 +199,8 @@ def _run_blocks(cfg, size, blocks):
     in-process ECDF run by about 0.3 MiB.
     """
     sums, hist = [], None
-    if size is not None:
+    if cfg.ecdf_grid is not None:
+        size = _grid_points(*cfg.ecdf_grid)
         hist = np.zeros(size + 1, dtype=np.int64)
     for b in blocks:
         n = min(BLOCK_TRIALS, cfg.trials - b * BLOCK_TRIALS)
@@ -244,10 +245,10 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _serve(cfg, size, tickets: int, jobs: int, out: int):
+def _serve(cfg, tickets: int, jobs: int, out: int):
     """Body of a pool worker; never returns.
 
-    Runs the job (cfg, size) it has by the fork, then each job it reads
+    Runs the job, a SimConfig, it has by the fork, then each job it reads
     from its job pipe, until EOF there. For each, it runs the blocks it
     claims and writes the pickled (pairs, hist), or the exception that
     stopped it, to `out`. A job it cannot load, one naming a class bound
@@ -269,7 +270,7 @@ def _serve(cfg, size, tickets: int, jobs: int, out: int):
         with open(jobs, "rb") as job_pipe:
             while True:
                 try:
-                    result = _run_blocks(cfg, size, _claimed_blocks(tickets))
+                    result = _run_blocks(cfg, _claimed_blocks(tickets))
                 except Exception as exc:  # handed to the parent, which raises it
                     result = exc
                 _write_all(out, pickle.dumps(result))
@@ -277,7 +278,7 @@ def _serve(cfg, size, tickets: int, jobs: int, out: int):
 
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 try:
-                    cfg, size = pickle.load(job_pipe)
+                    cfg = pickle.load(job_pipe)
                 except EOFError:  # the pool was closed
                     break
                 except Exception:  # the caller forks a pool that has the job
@@ -302,7 +303,7 @@ class _Pool:
     vanetprop's own, that the workers surely share with the caller.
     """
 
-    def __init__(self, cfg, size, workers: int):
+    def __init__(self, cfg, workers: int):
         self.classes = (type(cfg.headway), type(cfg.model))
         self.workers: dict[int, tuple[int, int]] = {}
         tickets, self.feed = os.pipe()
@@ -317,7 +318,7 @@ class _Pool:
                         os.close(fd)
                     raise
                 if pid == 0:
-                    _serve(cfg, size, tickets, job_r, res_w)
+                    _serve(cfg, tickets, job_r, res_w)
                 os.close(job_r)
                 os.close(res_w)
                 self.workers[pid] = (job_w, res_r)
@@ -346,11 +347,11 @@ class _Pool:
             os.close(fd)
         return os.waitstatus_to_exitcode(status)
 
-    def send(self, cfg, size) -> None:
-        """Hand every worker the pickled (cfg, size) of the next run; raise
-        _StaleJob where it cannot be pickled (a class defined in a function)."""
+    def send(self, cfg) -> None:
+        """Hand every worker the pickled cfg of the next run; raise _StaleJob
+        where it cannot be pickled (a class defined in a function)."""
         try:
-            job = pickle.dumps((cfg, size))
+            job = pickle.dumps(cfg)
         except (pickle.PicklingError, AttributeError, TypeError):
             raise _StaleJob from None
         try:
@@ -410,10 +411,10 @@ class _Pool:
 _idle: list[_Pool] = []
 
 
-def _run_pooled(cfg, size, n_blocks: int, workers: int) -> list:
+def _run_pooled(cfg, n_blocks: int, workers: int) -> list:
     """(pairs, hist) of each of `workers` pool workers (see _Pool.run).
 
-    Reuses an idle pool that fits cfg, sending it the pickled job;
+    Reuses an idle pool that fits cfg, sending it cfg pickled as the job;
     otherwise, or where the job cannot be pickled or a worker cannot load
     it, kills it and forks a new pool, which gets cfg by the fork. A run
     that raises or is interrupted kills its pool.
@@ -427,13 +428,13 @@ def _run_pooled(cfg, size, n_blocks: int, workers: int) -> list:
         pool = None
     try:
         if pool is None:
-            pool = _Pool(cfg, size, workers)
+            pool = _Pool(cfg, workers)
         else:
-            pool.send(cfg, size)
+            pool.send(cfg)
         parts = pool.run(n_blocks)
     except _StaleJob:  # a new pool gets cfg by the fork
         pool.kill()
-        return _run_pooled(cfg, size, n_blocks, workers)
+        return _run_pooled(cfg, n_blocks, workers)
     except BaseException:
         if pool is not None:
             pool.kill()
@@ -477,16 +478,12 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
     not end, or not in useful time.
     """
     _check_real("workers", workers, 1, integer=True)
-    size = None  # grid points of the ECDF
-    if cfg.ecdf_grid is not None:
-        size = _grid_points(*cfg.ecdf_grid)
-
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
     workers = min(workers, n_blocks)
     if workers > 1 and hasattr(os, "fork"):
-        parts = _run_pooled(cfg, size, n_blocks, workers)
+        parts = _run_pooled(cfg, n_blocks, workers)
     else:
-        parts = [_run_blocks(cfg, size, range(n_blocks))]
+        parts = [_run_blocks(cfg, range(n_blocks))]
 
     # reduce in block order: float sums stay deterministic under any pool size
     s1 = s2 = s3 = s4 = 0.0
@@ -520,12 +517,12 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         ci_mean_n = math.inf
 
     ecdf = None
-    if size is not None:
+    if cfg.ecdf_grid is not None:
         counts = parts[0][1]  # each part's histogram is its own array
         for _, hist in parts[1:]:
             counts += hist
-        # counts stay below 2^53, so a float cumsum is exact
-        values = np.cumsum(counts[:size], dtype=np.float64)
+        # counts stay below 2^53, so a float cumsum is exact; the last bin is past the grid
+        values = np.cumsum(counts[:-1], dtype=np.float64)
         values /= n
         ecdf = CdfCurve(*cfg.ecdf_grid, values)
     return SimStats(

@@ -194,11 +194,12 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         mid = 0.5 * (slo + shi)
         stalled = np.any((mid <= slo) | (mid >= shi))
         if stalled or lo.size + slo.size > max_panels:
-            est, est_err = _scalar(total), _scalar(total_err)
             why = ("stalled on an unsplittable panel" if stalled
                    else f"did not converge within {max_panels} panels")
-            raise NumericError(f"quadrature {why} (value ~ {est!r}, error ~ {est_err!r})",
-                               estimate=est, error_estimate=est_err)
+            # as floats: numpy's repr of a sweep's stack took ms, and the sweep drops it
+            raise NumericError(f"quadrature {why} (value ~ {total.tolist()!r}, error ~ "
+                               f"{total_err.tolist()!r})", estimate=_scalar(total),
+                               error_estimate=_scalar(total_err))
         new_lo, new_hi = np.concatenate((slo, mid)), np.concatenate((mid, shi))
         new_val, new_err = _level(f, new_lo, new_hi)
         evals += 15 * new_lo.size

@@ -38,6 +38,14 @@ def test_renewal_variance_where_the_range_squared_overflows():
             == 99.00000000000003
 
 
+def test_contention_moments_where_the_powers_of_the_range_overflow():
+    # rate L = 1e-100, so I_k(L) ~ rate L^{k+1} / (k + 1), though L^2 = 1e400
+    # overflows: E[D] = p_s I_1(L) and Var D ~ p_s I_2(L) with 1 - q ~ 1
+    d, m = ExponentialHeadway(1e-300), ContentionModel(0.9, 1e200)
+    assert mean_distance(d, m) == pytest.approx(4.5e99, rel=1e-14)
+    assert variance_renewal(d, m) == pytest.approx(3e299, rel=1e-14)
+
+
 def test_mean_distance_frozen():
     assert mean_distance(EXP, M_EXP) == pytest.approx(44.999997217442676, rel=1e-12)
     u = UniformHeadway(0.0, 10.0)

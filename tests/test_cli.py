@@ -466,8 +466,11 @@ FAMILY_OVERFLOWS = [
      "uniform variance: 1e+300 ** 2 overflows a float"),
     (["--headway", "uniform", "--low", "1e200", "--high", "2e200", "--range", "1e250"],
      "uniform truncated moment: 2e+200 ** 2 overflows a float"),
+    # the series' moments are finite (E[D] is 4.5e99); the family's variance is not
     (["--headway", "exponential", "--rate", "1e-300", "--range", "1e200"],
-     "exponential truncated moment: 1e+200 ** 2 overflows a float"),
+     "variance 1 / rate^2 at rate 1e-300 overflows a float"),
+    (["--headway", "exponential", "--rate", "1e-160", "--range", "1e159"],
+     "exponential truncated moment of order 2: rate 1e-160 * 1e+159 ** 3 overflows a float"),
     (["--headway", "exponential", "--rate", "1e-200", "--range", "1e250"],
      "exponential truncated moment of order 2: 2 / rate^2 at rate 1e-200 overflows a float"),
     # rate^2 is subnormal, so 2 / rate^2 is inf without a ZeroDivisionError
@@ -480,8 +483,8 @@ FAMILY_OVERFLOWS = [
 
 @pytest.mark.parametrize("argv, message", FAMILY_OVERFLOWS,
                          ids=["uniform-variance", "uniform-moment", "exponential-series",
-                              "exponential-rate-squared", "exponential-rate-squared-subnormal",
-                              "deterministic-moment"])
+                              "exponential-series-product", "exponential-rate-squared",
+                              "exponential-rate-squared-subnormal", "deterministic-moment"])
 def test_a_family_closed_form_that_overflows_exits_four(tmp_path, capsys, argv, message):
     # analyze writes the error in its row and nothing to stderr; compare, which
     # takes the closed forms before it simulates, prints one error line

@@ -220,6 +220,15 @@ def test_exponential_truncated_moment_where_the_power_of_upper_overflows():
     assert d.truncated_moment(1, 1e110) == pytest.approx(1e-10 * 1e110 / 2, rel=1e-9)
 
 
+def test_exponential_truncated_moment_where_the_square_of_upper_overflows():
+    # U^2 = 1e400 leaves the doubles too, but I_2(U) ~ (rU) U U / 3 = 1e300 / 3
+    # does not; only where that product itself overflows is it refused
+    assert ExponentialHeadway(1e-300).truncated_moment(2, 1e200) \
+        == pytest.approx(1e300 / 3, rel=1e-15)
+    with pytest.raises(NumericError, match=r"order 2: rate 1e-160 \* 1e\+159 \*\* 3 overflows"):
+        ExponentialHeadway(1e-160).truncated_moment(2, 1e159)
+
+
 @pytest.mark.parametrize("rate, upper", [(1.0, 1e155), (1.0, 1e308), (1e10, 1e300)])
 def test_exponential_truncated_moment_where_rate_times_upper_squared_overflows(rate, upper):
     # past rU ~ 745, e^{-rU} = 0 and I_k(U) is the full moment k! / r^k, though

@@ -171,6 +171,19 @@ def test_stacked_exhaustion_carries_the_estimate():
     assert np.all(np.isfinite(err.estimate)) and np.all(err.error_estimate > 0.0)
 
 
+def test_exhaustion_message_names_the_estimate_as_a_float_or_a_plain_list():
+    with pytest.raises(NumericError) as one:
+        integrate(lambda t: np.exp(-t), 0.0, 50.0, rel_tol=1e-14, max_panels=2)
+    err = one.value
+    assert str(err).endswith(f"(value ~ {err.estimate!r}, error ~ {err.error_estimate!r})")
+    with pytest.raises(NumericError) as stack:
+        integrate(lambda t: np.array((np.exp(-t), np.sin(40.0 * t))), 0.0, 50.0,
+                  rel_tol=1e-14, max_panels=40)
+    err = stack.value
+    assert str(err).endswith(f"(value ~ {err.estimate.tolist()!r}, "
+                             f"error ~ {err.error_estimate.tolist()!r})")
+
+
 def test_stacked_empty_interval_gives_zeros():
     res = integrate(lambda t: np.array((t, 2.0 * t)), 1.0, 1.0)
     np.testing.assert_array_equal(res.value, [0.0, 0.0])
@@ -538,6 +551,22 @@ def test_repair_names_the_first_offending_index(vals, message):
     assert exc.value.estimate == float(vals[int(message.rsplit(" ", 1)[1])])
     with pytest.raises(NumericError, match=message):
         reference_repair(vals)
+
+
+def test_march_refuses_a_cdf_that_exceeds_one():
+    # F_0 = 0.5 and F_1 = 0.5 + 1.5 F_0 = 1.25: a real excursion, not overshoot
+    with pytest.raises(NumericError, match="exceeds 1 by 2.500e-01 at grid index 1") as exc:
+        _march(np.array([0.0, 1.5]), np.zeros(2), 1.0, np.full(6, 0.5), clamp=True)
+    assert exc.value.estimate == pytest.approx(1.25, rel=1e-12)
+
+
+def test_march_clamps_an_overshoot_below_the_tolerance_to_one():
+    # F_1 = F_0 + 0.5 + 5e-7 overshoots 1 by less than MONOTONICITY_TOL, and the
+    # clamped F_1 is what F_2 and F_3 carry forward
+    w, dw, const = np.array([0.0, 1.0]), np.zeros(2), np.array([0.5, 0.5 + 5e-7, 0.0, 0.0])
+    assert 5e-7 < MONOTONICITY_TOL
+    assert _march(w, dw, 1.0, const, clamp=True).tolist() == [0.5, 1.0, 1.0, 1.0]
+    assert _march(w, dw, 1.0, const)[1] == pytest.approx(1.0 + 5e-7, rel=1e-12)
 
 
 # ------------------------------------------ per-step reference march
