@@ -221,10 +221,8 @@ def _sweep_values(params: dict):
     spec = params.get("sweep")
     if not spec:
         return None
-    parts = [p.strip() for p in spec.split(",")]  # _resolve joined it into a string
-    log = False
-    if parts and parts[-1] in ("log", "linear"):
-        log = parts.pop() == "log"
+    # _resolve joined it into a string that ends in its scale, log or linear
+    *parts, scale = [p.strip() for p in spec.split(",")]
     if len(parts) != 4:
         raise ValidationError(f"sweep must be 'name,from,to,steps[,log]', got {spec!r}")
     name = parts[0]
@@ -237,16 +235,18 @@ def _sweep_values(params: dict):
     try:
         lo, hi = float(parts[1]), float(parts[2])
         steps = int(parts[3])
+        if not np.isfinite(hi - lo):  # an infinite or nan bound, or a span past the doubles
+            raise ValueError
     except ValueError:
         raise ValidationError(f"bad sweep bounds in {spec!r}") from None
     if steps < 1:
         raise ValidationError(f"sweep steps must be >= 1, got {steps}")
-    if log:
-        if lo <= 0 or hi <= 0:
-            raise ValidationError("log sweep needs positive bounds")
-        values = np.geomspace(lo, hi, steps)
-    else:
-        values = np.linspace(lo, hi, steps)
+    if scale == "log" and (lo <= 0 or hi <= 0):
+        raise ValidationError("log sweep needs positive bounds")
+    try:
+        values = (np.geomspace if scale == "log" else np.linspace)(lo, hi, steps)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"a sweep of {steps} steps is too long to hold") from None
     return name, memoryview(values)
 
 

@@ -465,7 +465,8 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
 
     workers > 1 runs the blocks in up to `workers` forked worker processes
     that claim them one at a time (none where the platform cannot fork, or
-    for a single block); the result is bit-identical to the in-process run.
+    for a single block); the result is bit-identical to the in-process run,
+    as each block's tuple of sums (see _run_blocks) is added in block order.
     The workers stay up for the next run (see the module docstring).
 
     With cfg.ecdf_grid, each block's D is binned on the grid (`_grid_index`)
@@ -486,18 +487,11 @@ def run(cfg: SimConfig, workers: int = 1) -> SimStats:
         parts = [_run_blocks(cfg, range(n_blocks))]
 
     # reduce in block order: float sums stay deterministic under any pool size
-    s1 = s2 = s3 = s4 = 0.0
-    sum_n = sum_n2 = zeros = 0
     sums = dict(pair for part, _ in parts for pair in part)
+    total = (0.0, 0.0, 0.0, 0.0, 0, 0, 0)
     for b in range(n_blocks):
-        p1, p2, p3, p4, pn, pn2, pz = sums[b]
-        s1 += p1
-        s2 += p2
-        s3 += p3
-        s4 += p4
-        sum_n += pn
-        sum_n2 += pn2
-        zeros += pz
+        total = tuple(t + p for t, p in zip(total, sums[b]))
+    s1, s2, s3, s4, sum_n, sum_n2, zeros = total
 
     n = cfg.trials
     mean = s1 / n
@@ -556,12 +550,17 @@ class ComparisonReport:
     passed: bool
 
 
+# a scalar metric's simulated value and CI half-width: fields of SimStats
+_SCALAR_FIELDS = {"mean_D": ("mean_D", "ci95_mean_D"), "var_D": ("var_D", "ci95_var_D"),
+                  "mean_N": ("mean_N", "ci95_mean_N")}
+
+
 def compare(analytic_value, sim: SimStats, metric: str) -> ComparisonReport:
     """Check one analytic value against the simulation.
 
     metric: mean_D | var_D | mean_N | cdf_supnorm. For cdf_supnorm,
     analytic_value is a CdfCurve and sim must carry an ECDF on the same
-    grid.
+    grid. sim needs at least 2 trials, which also defines its variance.
     """
     if sim.trials < 2:
         raise ValidationError("comparison needs at least 2 trials")
@@ -589,16 +588,9 @@ def compare(analytic_value, sim: SimStats, metric: str) -> ComparisonReport:
             passed=sup < cdf_supnorm_gate(sim.trials),
         )
 
-    if metric == "mean_D":
-        sim_value, ci = sim.mean_D, sim.ci95_mean_D
-    elif metric == "var_D":
-        if sim.var_D is None:
-            raise ValidationError("simulation variance is undefined (trials < 2)")
-        sim_value, ci = sim.var_D, sim.ci95_var_D
-    elif metric == "mean_N":
-        sim_value, ci = sim.mean_N, sim.ci95_mean_N
-    else:
+    if metric not in _SCALAR_FIELDS:
         raise ValidationError(f"unknown comparison metric {metric!r}")
+    sim_value, ci = (getattr(sim, field) for field in _SCALAR_FIELDS[metric])
     a = float(analytic_value)
     abs_err = abs(a - sim_value)
     if a != 0.0:

@@ -263,19 +263,14 @@ def _grid_points(grid_step: float, max_s: float) -> int:
 
 
 def _repair(values: np.ndarray) -> np.ndarray:
-    """Clamp float-level monotonicity wobble; a real decrease is a failure."""
-    clipped = np.minimum(values, 1.0)
+    """Clamp float-level monotonicity wobble; a real decrease is a failure. The
+    bound of 1 is `_march(..., clamp=True)`'s, which refuses values past it."""
     # running maximum before each index, starting from 0
-    run = np.maximum.accumulate(np.concatenate(([0.0], clipped)))
-    over = values - 1.0 >= MONOTONICITY_TOL
-    drop = run[:-1] - clipped >= MONOTONICITY_TOL
-    bad = np.flatnonzero(over | drop)
+    run = np.maximum.accumulate(np.concatenate(([0.0], values)))
+    bad = np.flatnonzero(run[:-1] - values >= MONOTONICITY_TOL)
     if bad.size:
         j = int(bad[0])
         v = float(values[j])
-        if over[j]:
-            raise NumericError(
-                f"solved CDF exceeds 1 by {v - 1.0:.3e} at grid index {j}", estimate=v)
         raise NumericError(
             f"solved CDF decreases by {run[j] - v:.3e} at grid index {j}", estimate=v)
     return run[1:]

@@ -586,6 +586,80 @@ def test_analyze_rejects_sweeps_over_parameters_the_run_never_reads(tmp_path):
         assert len({r[2] for r in rows}) == 3
 
 
+EXP_CFG = "headway = exponential\nrate = 0.2\nps = 0.9\nrange = 100\n"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--sweep", "rate", "1", "inf", "3"], "", "bad sweep bounds in 'rate,1,inf,3,linear'"),
+    # finite bounds, a span past the doubles
+    ([], "sweep = range,-1e308,1e308,3\n", "bad sweep bounds in 'range,-1e308,1e308,3,linear'"),
+    (["--sweep", "rate", "1", "nan", "3", "--log-sweep"], "",
+     "bad sweep bounds in 'rate,1,nan,3,log'"),
+    # 2**62 doubles: numpy refuses the size before it allocates anything
+    (["--sweep", "rate", "0.1", "1", str(2 ** 62)], "",
+     f"a sweep of {2 ** 62} steps is too long to hold"),
+    (["--sweep", "rate", "0.1", "1", str(2 ** 62), "--log-sweep"], "",
+     f"a sweep of {2 ** 62} steps is too long to hold"),
+    (["--sweep", "rate", "0.1", "x", "3"], "", "bad sweep bounds in 'rate,0.1,x,3,linear'"),
+    (["--sweep", "rate", "0.1", "1", "0"], "", "sweep steps must be >= 1, got 0"),
+    (["--sweep", "rate", "0", "1", "3", "--log-sweep"], "", "log sweep needs positive bounds"),
+    ([], "sweep = rate,0.1,1\n",
+     "sweep must be 'name,from,to,steps[,log]', got 'rate,0.1,1,linear'"),
+    ([], "scenario = rayleigh\n",
+     "scenario must be one of ['contention', 'fading'], got 'rayleigh'"),
+], ids=["infinite-bound", "overflowing-span", "nan-log-bound", "too-long", "too-long-log",
+        "bounds", "steps", "log-bounds", "short-config-sweep", "unknown-scenario"])
+def test_a_bad_sweep_or_scenario_is_refused_before_any_output(tmp_path, capsys, argv, config,
+                                                              message):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+    cfg.write_text(EXP_CFG + config)
+    assert main(["analyze", "--config", str(cfg), *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,0.9,1", "expected 'load,p_s', got '0,0.9,1'"),
+    ("0,high", "non-numeric row '0,high'"),
+], ids=["three-fields", "non-numeric"])
+def test_a_bad_ps_table_row_is_refused(tmp_path, capsys, row, message):
+    table = tmp_path / "ps.csv"
+    table.write_text(f"# load,p_s\n{row}\n100,0.5\n")
+    assert main(["analyze", "--headway", "exponential", "--rate", "0.2", "--range", "100",
+                 "--ps-table", str(table), "--load", "50",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {table}:2: {message}\n"
+
+
+def test_an_unknown_headway_in_a_config_is_an_error_row(tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o.csv"
+    cfg.write_text("headway = gamma\nps = 0.9\nrange = 100\n")
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+    rows = list(csv.reader(line for line in out.read_text().splitlines()
+                           if not line.startswith("#")))
+    assert rows[1:] == [["0.0", *[""] * 8, "ValidationError: headway must be one of "
+                         f"{sorted(cli._HEADWAYS)}, got 'gamma'"]]
+
+
+def test_a_config_sweep_writes_the_rows_of_the_same_flag_sweep(tmp_path):
+    cfg, by_config, by_flag = tmp_path / "run.cfg", tmp_path / "c.csv", tmp_path / "f.csv"
+    cfg.write_text(EXP_CFG + "sweep = rate,0.1,1,3\n")
+    assert main(["analyze", "--config", str(cfg), "--out", str(by_config)]) == 0
+    assert main(["analyze", *EXP_ARGS, "--sweep", "rate", "0.1", "1", "3",
+                 "--out", str(by_flag)]) == 0
+    assert "# sweep = rate,0.1,1,3,linear" in parse(by_config)[0]
+    assert parse(by_config)[1:] == parse(by_flag)[1:]
+
+
+def test_log_sweep_turns_a_config_sweep_geometric(tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o.csv"
+    cfg.write_text(EXP_CFG + "sweep = rate,0.1,1,3,linear\n")
+    assert main(["analyze", "--config", str(cfg), "--log-sweep", "--out", str(out)]) == 0
+    meta, _, rows, _ = parse(out)
+    assert "# sweep = rate,0.1,1,3,log" in meta
+    assert [float(r[0]) for r in rows] == np.geomspace(0.1, 1.0, 3).tolist()
+
+
 def test_empirical_file_is_reread_by_each_run(tmp_path):
     data = tmp_path / "gaps.txt"
     out = tmp_path / "e.csv"
