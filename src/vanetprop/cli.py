@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import re
 import sys
 from typing import Callable, Iterable, NamedTuple
@@ -30,6 +31,7 @@ from .headway import (
     ExponentialHeadway,
     LognormalHeadway,
     UniformHeadway,
+    _content_lines,
     load_headway_file,
 )
 
@@ -102,18 +104,14 @@ _PARAMS = {
 
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _PARAMS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+    for lineno, line in _content_lines(path):
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _PARAMS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -136,22 +134,18 @@ def _ps_table(params: dict) -> Callable[[float], float] | None:
         return None
     path = params["ps_table"]
     xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'load,p_s', got {line!r}")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric row {line!r}") from None
-            if not (0.0 <= y <= 1.0):
-                raise ValidationError(f"{path}:{lineno}: p_s {y!r} outside [0, 1]")
-            xs.append(x)
-            ys.append(y)
+    for lineno, line in _content_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 'load,p_s', got {line!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+        if not (0.0 <= y <= 1.0):
+            raise ValidationError(f"{path}:{lineno}: p_s {y!r} outside [0, 1]")
+        xs.append(x)
+        ys.append(y)
     if len(xs) < 2:
         raise ValidationError(f"{path}: need at least 2 rows, found {len(xs)}")
     if not np.all(np.diff(xs) > 0):
@@ -175,36 +169,36 @@ def _link_keys(params: dict) -> tuple[str, ...]:
     return tuple("load" if k == "ps" and params.get("ps_table") else k for k in keys)
 
 
-def _build_headway(params: dict):
-    family = params.get("headway")
-    if family not in _HEADWAYS:
-        raise ValidationError(f"headway must be one of {sorted(_HEADWAYS)}, got {family!r}")
-    make, keys = _HEADWAYS[family]
-    return make(*(_get(params, k) for k in keys))
+def _builder(params: dict, kind: str, swept: str | None = None):
+    """v -> the run's headway law (kind "headway") or channel model ("model",
+    whose ps_table is read here, once), with its parameter `swept` read as v:
+    one constructor call per v on the others, typed once. Without that
+    parameter, the first call that succeeds builds the object and later calls
+    share it. Where a parameter does not type, or the gap family is unknown,
+    every call raises that error, the first in argument order."""
+    family, table = params.get("headway"), None
+    if kind == "model":
+        make, keys = _SCENARIOS[params["scenario"]].model, _link_keys(params)
+        table = _ps_table(params)
+    elif family in _HEADWAYS:
+        make, keys = _HEADWAYS[family]
+    else:
+        def make():
+            raise ValidationError(f"headway must be one of {sorted(_HEADWAYS)}, got {family!r}")
+        keys = ()
 
+    def typed(k):
+        return table(_get(params, k)) if k == "load" else _get(params, k)
 
-def _build_model(params: dict, table: Callable[[float], float] | None):
-    """The scenario's channel model; with a ps_table, p_s is `table` (from _ps_table) at load."""
-    args = (table(_get(params, k)) if k == "load" else _get(params, k)
-            for k in _link_keys(params))
-    return _SCENARIOS[params["scenario"]].model(*args)
-
-
-def _build_swept(params: dict, name: str, table: Callable[[float], float] | None):
-    """v -> the headway law or channel model that `name` belongs to, built with v for
-    it: one constructor call on its other parameters, typed once. Where one of those
-    does not type, each v builds from all of them, so every point raises that error."""
-    headway = name in _headway_keys(params)
-    make, keys = (_HEADWAYS[params["headway"]] if headway
-                  else (_SCENARIOS[params["scenario"]].model, _link_keys(params)))
+    at = table if swept == "load" else float
     try:
-        args = [table(_get(params, k)) if k == "load" else _get(params, k)
-                for k in keys if k != name]
+        args = [typed(k) for k in keys if k != swept]
     except ValidationError:
-        return lambda v: (_build_headway({**params, name: v}) if headway
-                          else _build_model({**params, name: v}, table))
-    i, at = keys.index(name), table if name == "load" else float
-    before, after = args[:i], args[i:]
+        return lambda v: make(*(at(v) if k == swept else typed(k) for k in keys))
+    if swept not in keys:
+        built = functools.cache(lambda: make(*args))  # a call that raises is not kept
+        return lambda v: built()
+    before, after = args[:keys.index(swept)], args[keys.index(swept):]
     return lambda v: make(*before, at(v), *after)
 
 
@@ -234,11 +228,14 @@ def _sweep_values(params: dict):
         )
     try:
         lo, hi = float(parts[1]), float(parts[2])
-        steps = int(parts[3])
         if not np.isfinite(hi - lo):  # an infinite or nan bound, or a span past the doubles
             raise ValueError
     except ValueError:
         raise ValidationError(f"bad sweep bounds in {spec!r}") from None
+    try:
+        steps = int(parts[3])
+    except ValueError:
+        raise ValidationError(f"sweep steps must be an integer, got {parts[3]!r}") from None
     if steps < 1:
         raise ValidationError(f"sweep steps must be >= 1, got {steps}")
     if scale == "log" and (lo <= 0 or hi <= 0):
@@ -315,30 +312,22 @@ def cmd_analyze(params: dict) -> int:
     The points are built, evaluated (`analytic.sweep_columns`) and written
     _CSV_CHUNK_ROWS at a time, so the memory a sweep takes does not grow with
     its length; a chunk's finite rows are written from its columns as blocks.
-    A point rebuilds only the object the swept parameter belongs to; the
-    other one is built once and shared by every chunk.
+    A point is (headway_of(v), model_of(v)) from `_builder`s, which rebuild
+    only the object the swept parameter belongs to and share the other one.
     """
     name, values = _sweep_values(params) or ("point", [None])
     scenario = _SCENARIOS[params["scenario"]]
-    table = _ps_table(params)
-    new_headway = name in _headway_keys(params)
-    new_model = name in _link_keys(params)
-    build = (new_headway or new_model) and _build_swept(params, name, table)
+    headway_of, model_of = _builder(params, "headway", name), _builder(params, "model", name)
     code = EXIT_OK
 
     def rows():
         nonlocal code
-        d = model = None
         for lo in range(0, len(values), _CSV_CHUNK_ROWS):
             chunk = values[lo:lo + _CSV_CHUNK_ROWS]
             errors, points = [], []  # per value: the typed error building it raised, or None
             for v in chunk:
                 try:
-                    if d is None or new_headway:
-                        d = build(v) if new_headway else _build_headway(params)
-                    if model is None or new_model:
-                        model = build(v) if new_model else _build_model(params, table)
-                    points.append((d, model))
+                    points.append((headway_of(v), model_of(v)))
                     errors.append(None)
                 except ValidationError as exc:
                     errors.append(exc)
@@ -380,7 +369,7 @@ def _grid_checked(make, *args):
 
 def _sim_config(params: dict, ecdf: bool) -> mc.SimConfig:
     """The run params describe; with ecdf, D is also binned on the ds/max_s grid."""
-    d, model = _build_headway(params), _build_model(params, _ps_table(params))
+    d, model = _builder(params, "headway")(None), _builder(params, "model")(None)
     grid = (_get(params, "ds"), _get(params, "max_s")) if ecdf else None
     trials, seed = _get(params, "trials"), _get(params, "seed")
     return _grid_checked(mc.SimConfig, d, model, trials, seed, grid)

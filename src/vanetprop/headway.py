@@ -166,17 +166,20 @@ class ExponentialHeadway(HeadwayDistribution):
         _check_real("rate", self.rate, 0.0, strict=True)
 
     def pdf(self, x):
-        return _like(self.rate * np.exp(-self.rate * _density_args(x)))
+        with np.errstate(over="ignore"):  # where rate * x is inf, exp(-inf) = 0 is exact
+            return _like(self.rate * np.exp(-self.rate * _density_args(x)))
 
     def cdf(self, x):
-        # -expm1 keeps full precision where 1 - exp(-rate*x) would round to 1
-        return _like(-np.expm1(-self.rate * np.maximum(_args(x), 0.0)))
+        # -expm1 keeps full precision where 1 - exp(-rate*x) would round to 1,
+        # and gives the exact 1 where rate * x overflows
+        with np.errstate(over="ignore"):
+            return _like(-np.expm1(-self.rate * np.maximum(_args(x), 0.0)))
 
     def mean(self) -> float:
         return 1.0 / self.rate
 
     def variance(self) -> float:
-        r2 = self.rate ** 2
+        r2 = _pow(self.rate, 2, "exponential variance")
         v = 1.0 / r2 if r2 > 0.0 else math.inf
         if v == math.inf:
             raise NumericError(f"variance 1 / rate^2 at rate {self.rate!r} overflows a float")
@@ -218,7 +221,7 @@ class ExponentialHeadway(HeadwayDistribution):
         if order == 1:
             return (1.0 - e * (1.0 + x)) / self.rate
         # the numerator is >= 0.16 at x >= 1, so inf is 2 / rate^2 overflowing
-        r2 = self.rate ** 2
+        r2 = _pow(self.rate, 2, "exponential truncated moment of order 2")
         m2 = (2.0 - e * (x * x + 2.0 * x + 2.0)) / r2 if r2 > 0.0 else math.inf
         if m2 == math.inf:
             raise NumericError("exponential truncated moment of order 2: 2 / rate^2 at "
@@ -454,29 +457,37 @@ class EmpiricalHeadway(HeadwayDistribution):
         return f"EmpiricalHeadway(n={self.samples.size})"
 
 
+def _content_lines(path):
+    """(line number, stripped text) of each line of the UTF-8 text file at path
+    that is neither blank nor a '#' comment, a leading byte-order mark dropped:
+    the reader of every text input. Other bytes raise ValidationError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                if (line := raw.strip()) and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
 def load_headway_file(path) -> EmpiricalHeadway:
     """Read a plain-text headway file: one nonnegative decimal value per line.
 
-    Blank lines and lines starting with '#' are ignored; the decimal
-    separator is '.'. Malformed or negative lines raise ValidationError
-    naming the line numbers.
+    UTF-8 text, read by `_content_lines`, so blank and '#' lines are ignored;
+    the decimal separator is '.'. Unreadable, non-finite or negative lines
+    raise ValidationError naming the line numbers.
     """
     values: list[float] = []
     bad: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                v = float(line)
-            except ValueError:
-                bad.append(f"line {lineno}: {line!r}")
-                continue
-            if not math.isfinite(v) or v < 0:
-                bad.append(f"line {lineno}: {line!r}")
-                continue
+    for lineno, line in _content_lines(path):
+        try:
+            v = float(line)
+        except ValueError:
+            v = math.nan  # refused with the non-finite values
+        if 0.0 <= v < math.inf:
             values.append(v)
+        else:
+            bad.append(f"line {lineno}: {line!r}")
     if bad:
         shown = "; ".join(bad[:10])
         raise ValidationError(f"{path}: unreadable or negative headway lines ({shown})")

@@ -35,7 +35,7 @@ from vanetprop import (
     mean_cluster_size,
     mean_distance,
 )
-from vanetprop import analytic
+from vanetprop import analytic, headway
 from vanetprop.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -478,13 +478,19 @@ FAMILY_OVERFLOWS = [
      "exponential truncated moment of order 2: 2 / rate^2 at rate 1e-158 overflows a float"),
     (["--headway", "deterministic", "--spacing", "1e200", "--range", "1e250"],
      "deterministic truncated moment: 1e+200 ** 2 overflows a float"),
+    # rate^2 leaves the doubles; at 1.7e308 rate * x leaves them in the cdf too
+    (["--headway", "exponential", "--rate", "1e155", "--range", "100"],
+     "exponential truncated moment of order 2: 1e+155 ** 2 overflows a float"),
+    (["--headway", "exponential", "--rate", "1.7e308", "--range", "100"],
+     "exponential truncated moment of order 2: 1.7e+308 ** 2 overflows a float"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", FAMILY_OVERFLOWS,
                          ids=["uniform-variance", "uniform-moment", "exponential-series",
                               "exponential-series-product", "exponential-rate-squared",
-                              "exponential-rate-squared-subnormal", "deterministic-moment"])
+                              "exponential-rate-squared-subnormal", "deterministic-moment",
+                              "exponential-large-rate-squared", "exponential-largest-rate"])
 def test_a_family_closed_form_that_overflows_exits_four(tmp_path, capsys, argv, message):
     # analyze writes the error in its row and nothing to stderr; compare, which
     # takes the closed forms before it simulates, prints one error line
@@ -602,13 +608,14 @@ EXP_CFG = "headway = exponential\nrate = 0.2\nps = 0.9\nrange = 100\n"
      f"a sweep of {2 ** 62} steps is too long to hold"),
     (["--sweep", "rate", "0.1", "x", "3"], "", "bad sweep bounds in 'rate,0.1,x,3,linear'"),
     (["--sweep", "rate", "0.1", "1", "0"], "", "sweep steps must be >= 1, got 0"),
+    (["--sweep", "rate", "0.1", "1", "3.0"], "", "sweep steps must be an integer, got '3.0'"),
     (["--sweep", "rate", "0", "1", "3", "--log-sweep"], "", "log sweep needs positive bounds"),
     ([], "sweep = rate,0.1,1\n",
      "sweep must be 'name,from,to,steps[,log]', got 'rate,0.1,1,linear'"),
     ([], "scenario = rayleigh\n",
      "scenario must be one of ['contention', 'fading'], got 'rayleigh'"),
 ], ids=["infinite-bound", "overflowing-span", "nan-log-bound", "too-long", "too-long-log",
-        "bounds", "steps", "log-bounds", "short-config-sweep", "unknown-scenario"])
+        "bounds", "steps", "non-integer-steps", "log-bounds", "short-config-sweep", "unknown-scenario"])
 def test_a_bad_sweep_or_scenario_is_refused_before_any_output(tmp_path, capsys, argv, config,
                                                               message):
     cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
@@ -629,6 +636,45 @@ def test_a_bad_ps_table_row_is_refused(tmp_path, capsys, row, message):
                  "--ps-table", str(table), "--load", "50",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"error: {table}:2: {message}\n"
+
+
+# each text input: (file name, its text, the analyze flags that read the file at a path)
+TEXT_INPUTS = {
+    "config": ("run.cfg", EXP_CFG, lambda path: ["--config", path]),
+    "data": ("gaps.txt", "# gaps (m)\n2.5\n3.0\n4.1\n",
+             lambda path: ["--headway", "empirical", "--data", path, *CONT]),
+    "ps-table": ("ps.csv", "0,0.95\n100,0.5\n",
+                 lambda path: ["--headway", "exponential", "--rate", "0.2", "--range", "100",
+                               "--ps-table", path, "--load", "50"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(TEXT_INPUTS))
+def test_a_text_input_saved_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path, kind):
+    name, text, flags = TEXT_INPUTS[kind]
+    path, out = tmp_path / name, tmp_path / "o.csv"
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text.encode())
+        assert main(["analyze", *flags(str(path)), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", list(TEXT_INPUTS))
+def test_a_text_input_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, kind):
+    # a Latin-1 'é' in a comment: the reader decodes the file before it reads a line
+    name, text, flags = TEXT_INPUTS[kind]
+    path, out = tmp_path / name, tmp_path / "o.csv"
+    path.write_bytes(b"# caf\xe9\n" + text.encode())
+    assert main(["analyze", *flags(str(path)), "--out", str(out)]) == 2
+    message = f"{path}: not UTF-8 text"
+    if kind == "data":  # the headway law does not build: its point is an error row
+        assert [r[-1] for r in parse(out)[2]] == [f"ValidationError: {message}"]
+        assert capsys.readouterr().err == ""
+    else:  # refused before the output opens
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_an_unknown_headway_in_a_config_is_an_error_row(tmp_path):
@@ -1312,7 +1358,7 @@ def test_ps_table_is_read_once_per_command(tmp_path, monkeypatch, command):
         opened.append(str(path))
         return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(headway, "open", counting_open, raising=False)  # the shared reader's
     code = main([*command, "--headway", "exponential", "--rate", "0.2", "--range", "100",
                  "--ps-table", str(table), "--out", str(tmp_path / "o.csv")])
     assert code == 0

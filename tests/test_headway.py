@@ -229,6 +229,21 @@ def test_exponential_truncated_moment_where_the_square_of_upper_overflows():
         ExponentialHeadway(1e-160).truncated_moment(2, 1e159)
 
 
+def test_exponential_rate_whose_square_overflows_is_a_numeric_error():
+    # rate^2 leaves the doubles past rate ~ 1.34e154; below that each value keeps its bits
+    d = ExponentialHeadway(1.34e154)
+    assert d.variance() == 5.569169079973266e-309
+    assert d.truncated_moment(2, 100.0) == 1.1138338159946537e-308
+    with pytest.raises(NumericError, match=r"exponential variance: 1e\+155 \*\* 2 overflows"):
+        ExponentialHeadway(1e155).variance()
+    with pytest.raises(NumericError, match=r"order 2: 1e\+155 \*\* 2 overflows"):
+        ExponentialHeadway(1e155).truncated_moment(2, 100.0)
+    # rate * x overflows too: the exact 1 and 0, with no numpy warning
+    top = ExponentialHeadway(1.7e308)
+    assert (top.cdf(100.0), top.pdf(100.0)) == (1.0, 0.0)
+    assert top.cdf(np.array([0.0, 5.0])).tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("rate, upper", [(1.0, 1e155), (1.0, 1e308), (1e10, 1e300)])
 def test_exponential_truncated_moment_where_rate_times_upper_squared_overflows(rate, upper):
     # past rU ~ 745, e^{-rU} = 0 and I_k(U) is the full moment k! / r^k, though

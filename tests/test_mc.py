@@ -335,8 +335,8 @@ def test_worker_errors_reach_the_caller_typed(error):
 @pytest.mark.parametrize("error, code", SAMPLER_ERRORS, ids=["numeric", "validation"])
 def test_worker_errors_keep_their_exit_codes(tmp_path, monkeypatch, capsys, error, code):
     d = FailingHeadway(rate=0.2, fail_block=1, error=error)
-    monkeypatch.setattr(cli, "_build_headway", lambda params: d)
-    argv = ["simulate", "--ps", "0.9", "--range", "100", "--trials", "40000",
+    monkeypatch.setitem(cli._HEADWAYS, "exponential", (lambda rate: d, ("rate",)))
+    argv = ["simulate", "--headway", "exponential", "--rate", "0.2", "--ps", "0.9", "--range", "100", "--trials", "40000",
             "--workers", "2", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == code
     assert str(error) in capsys.readouterr().err
